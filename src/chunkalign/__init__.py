@@ -13,7 +13,6 @@ from .dac import (
 )
 from .embed_store import (
     EmbeddingMatrix,
-    fetch_embeddings,
     normalize,
     read_matrix,
     write_matrix,
@@ -28,7 +27,7 @@ from .evaluation import (
     score,
     sweep_thresholds,
 )
-from .knn import FlatIndex, NeighborList
+from .knn import FlatIndex
 from .miner import AlignedUnitPair, MarginParams, greedy_match, margin_scores, mine
 from .pooled import align_documents_pooled, pool_corpus
 from .pooling import IdfTable, PoolingMethod, build_idf, pool_document
@@ -46,7 +45,6 @@ __all__ = [
     "Granularity",
     "IdfTable",
     "MarginParams",
-    "NeighborList",
     "NoiseConfig",
     "PoolingMethod",
     "aggregate",
@@ -54,7 +52,6 @@ __all__ = [
     "align_documents_pooled",
     "build_idf",
     "compute_dac",
-    "fetch_embeddings",
     "greedy_match",
     "inject_noise",
     "load_corpus",

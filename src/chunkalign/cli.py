@@ -60,16 +60,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _chunk_granularity(text: str) -> Granularity:
+def _granularity(text: str) -> Granularity:
     try:
-        g = Granularity.from_string(text)
+        return Granularity.from_string(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if g.is_whole_document:
-        raise argparse.ArgumentTypeError(
-            "chunk granularity must be an integer; whole-document units come from --mode pooled"
-        )
-    return g
 
 
 def _unit_interval(text: str) -> float:
@@ -160,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", parents=[], help="split documents into units for embedding")
     p.add_argument("--manifest", required=True, help="JSON-lines corpus manifest")
-    p.add_argument("-g", "--granularity", type=_chunk_granularity, default=Granularity(1),
+    p.add_argument("-g", "--granularity", type=_granularity, default=Granularity(1),
                    help="sentences per unit (default 1)")
     p.add_argument("--out", required=True, help="output units TSV (unit_id<TAB>text)")
 
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="align two corpora into document pairs")
     p.add_argument("--mode", choices=["dac", "pooled"], default="dac")
     add_align_inputs(p)
-    p.add_argument("-g", "--granularity", type=_chunk_granularity, default=None,
+    p.add_argument("-g", "--granularity", type=_granularity, default=None,
                    help="sentences per chunk for --mode dac (default 1)")
     p.add_argument("--threshold", type=_unit_interval, default=None,
                    help="document alignment coefficient cutoff for --mode dac (default 0.1)")
@@ -221,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="score the dac path at several thresholds")
     add_align_inputs(p)
-    p.add_argument("-g", "--granularity", type=_chunk_granularity, default=Granularity(1))
+    p.add_argument("-g", "--granularity", type=_granularity, default=Granularity(1))
     p.add_argument("--thresholds", type=_threshold_list, required=True,
                    help="comma-separated ascending list, e.g. 0.0,0.1,0.2")
     p.add_argument("--keep-all", action="store_true")
@@ -430,7 +425,7 @@ def _run_align(args, ctx) -> None:
         config = DacConfig(
             threshold=threshold,
             granularity=granularity,
-            margin_params=MarginParams(k=args.k),
+            margin_params=MarginParams(k=args.k, min_margin=args.min_margin),
         )
         config_echo.granularity = str(granularity)
         config_echo.threshold = threshold
@@ -440,8 +435,6 @@ def _run_align(args, ctx) -> None:
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
             config, workers=args.workers,
         )
-        if args.min_margin is not None:
-            pairs = [pair for pair in pairs if pair.margin >= args.min_margin]
         if args.dump_chunk_pairs:
             write_pairs_tsv(pairs, out_dir / "chunk_pairs.tsv")
         selected = select_pairs(
@@ -456,10 +449,8 @@ def _run_align(args, ctx) -> None:
         config_echo.write(out_dir)
         mined = align_documents_pooled(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-            method, MarginParams(k=args.k), workers=args.workers,
+            method, MarginParams(k=args.k, min_margin=args.min_margin), workers=args.workers,
         )
-        if args.min_margin is not None:
-            mined = [pair for pair in mined if pair.margin >= args.min_margin]
         write_pairs_tsv(mined, out_dir / "pairs.tsv")
         predicted = [(pair.src_id, pair.tgt_id) for pair in mined]
         report_threshold = None
@@ -481,13 +472,12 @@ def _run_sweep(args, ctx) -> None:
     config_echo.thresholds = list(args.thresholds)
     config_echo.keep_all = args.keep_all
     config_echo.write(out_dir)
-    config = DacConfig(granularity=args.granularity, margin_params=MarginParams(k=args.k))
+    params = MarginParams(k=args.k, min_margin=args.min_margin)
+    config = DacConfig(granularity=args.granularity, margin_params=params)
     pairs, counts_src, counts_tgt = mine_chunk_pairs(
         ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
         config, workers=args.workers,
     )
-    if args.min_margin is not None:
-        pairs = [pair for pair in pairs if pair.margin >= args.min_margin]
     scores = aggregate(pairs, counts_src, counts_tgt)
     reports = sweep_thresholds(scores, ctx["gold"], args.thresholds, one_to_one=not args.keep_all)
     report_path = out_dir / f"reports.{args.format}"

@@ -35,36 +35,25 @@ class Document:
 
 @dataclass(frozen=True)
 class Granularity:
-    """Unit size in sentences; sentences=None means one unit per whole document."""
+    """Unit size in sentences."""
 
-    sentences: int | None = 1
+    sentences: int = 1
 
     def __post_init__(self) -> None:
-        if self.sentences is not None and self.sentences < 1:
+        if self.sentences < 1:
             raise ValueError(f"granularity must be >= 1, got {self.sentences}")
-
-    @property
-    def is_whole_document(self) -> bool:
-        return self.sentences is None
-
-    @classmethod
-    def whole_document(cls) -> "Granularity":
-        return cls(sentences=None)
 
     @classmethod
     def from_string(cls, text: str) -> "Granularity":
-        """Parse a granularity given as a positive integer or the word 'doc'."""
-        cleaned = text.strip().lower()
-        if cleaned == "doc":
-            return cls.whole_document()
+        """Parse a granularity given as a positive integer."""
         try:
-            value = int(cleaned)
+            value = int(text)
         except ValueError:
-            raise ValueError(f"granularity must be a positive integer or 'doc', got {text!r}") from None
+            raise ValueError(f"granularity must be a positive integer, got {text!r}") from None
         return cls(sentences=value)
 
     def __str__(self) -> str:
-        return "doc" if self.sentences is None else str(self.sentences)
+        return str(self.sentences)
 
 
 @dataclass(frozen=True)
@@ -127,8 +116,6 @@ def segment(doc: Document, g: Granularity) -> list[ChunkUnit]:
     The final chunk keeps whatever remains, so it may be shorter.  Unit ids
     are "<doc_id>#<chunk_index>" with chunk indices counted from zero.
     """
-    if g.is_whole_document:
-        raise ValueError("segment requires an integer granularity")
     size = g.sentences
     units: list[ChunkUnit] = []
     for index, start in enumerate(range(0, len(doc.sentences), size)):

@@ -142,11 +142,6 @@ def mine_chunk_pairs(
     and document pairs only emerge later from where mined chunks concentrate.
     Returns the mined pairs plus each side's chunks-per-document counts.
     """
-    if config.granularity.is_whole_document:
-        raise ValueError(
-            "chunk alignment needs an integer granularity; "
-            "whole-document units are handled by the pooled path"
-        )
     src_units = [unit for doc in src_docs for unit in segment(doc, config.granularity)]
     tgt_units = [unit for doc in tgt_docs for unit in segment(doc, config.granularity)]
     counts_src = dict(Counter(unit.doc_id for unit in src_units))
@@ -165,20 +160,17 @@ def align_documents_dac(
     config: DacConfig = DacConfig(),
     workers: int = 1,
     one_to_one: bool = True,
-    min_margin: float | None = None,
 ) -> list[DocPairScore]:
     """Full chunk-based path: mine globally, aggregate per document pair,
     threshold and select.
 
-    min_margin optionally discards mined chunk pairs below the given margin
-    before aggregation; by default every mined pair counts and thresholding
-    happens only at the document level.
+    config.margin_params.min_margin optionally discards mined chunk pairs
+    below the given margin before aggregation; by default every mined pair
+    counts and thresholding happens only at the document level.
     """
     pairs, counts_src, counts_tgt = mine_chunk_pairs(
         src_docs, tgt_docs, src_embeddings, tgt_embeddings, config, workers=workers
     )
-    if min_margin is not None:
-        pairs = [pair for pair in pairs if pair.margin >= min_margin]
     return select_pairs(aggregate(pairs, counts_src, counts_tgt), config, one_to_one=one_to_one)
 
 

@@ -12,8 +12,6 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .corpus import ChunkUnit
-
 logger = logging.getLogger(__name__)
 
 MAGIC = b"DEMB"
@@ -71,9 +69,13 @@ class EmbeddingMatrix:
 
 
 def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm; a zero row is an error naming its id."""
+    """Scale every row to unit L2 norm; a non-finite or zero row is an error naming its id."""
     data64 = matrix.data.astype(np.float64)
+    # float32 values cannot overflow a float64 norm: it is finite iff the row is.
     norms = np.linalg.norm(data64, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"non-finite embedding for id {matrix.ids[int(bad[0])]!r}")
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero-norm embedding for id {matrix.ids[int(zero[0])]!r}")
@@ -171,26 +173,7 @@ def fetch_vectors(
         raise ValueError("embedding service returned vectors of differing dimensions") from None
     if data.ndim != 2:
         raise ValueError("embedding service returned vectors of differing dimensions")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite embedding for id {ids[int(bad[0])]!r}")
     return normalize(EmbeddingMatrix(ids=list(ids), data=data))
-
-
-def fetch_embeddings(
-    units: Sequence[ChunkUnit],
-    endpoint: str,
-    batch_size: int = 32,
-    **kwargs,
-) -> EmbeddingMatrix:
-    """Fetch one normalized embedding row per unit, keyed by unit id."""
-    return fetch_vectors(
-        [unit.unit_id for unit in units],
-        [unit.text for unit in units],
-        endpoint,
-        batch_size=batch_size,
-        **kwargs,
-    )
 
 
 def _post_batch(endpoint: str, batch: list[str], attempts: int, retry_wait: float, timeout: float):

@@ -57,6 +57,7 @@ def load_gold(path: str | Path) -> GoldSet:
 def load_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Read predicted pairs from a TSV, taking the first two columns of each row."""
     pairs: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -66,8 +67,9 @@ def load_pairs(path: str | Path) -> list[tuple[str, str]]:
             if len(parts) < 2 or not parts[0] or not parts[1]:
                 raise ValueError(f"{path}:{lineno}: expected at least src<TAB>tgt")
             pair = (parts[0], parts[1])
-            if pair in set(pairs):
+            if pair in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate pair {pair!r}")
+            seen.add(pair)
             pairs.append(pair)
     return pairs
 
@@ -156,9 +158,9 @@ def inject_noise(
     return mixed
 
 
-def derive_side_seeds(seed: int, count: int = 2) -> list[int]:
-    """Independent per-side seeds split from one run seed."""
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+def derive_side_seeds(seed: int) -> list[int]:
+    """Independent source and target seeds split from one run seed."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64)]
 
 
 def sweep_thresholds(

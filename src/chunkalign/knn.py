@@ -17,24 +17,15 @@ DEFAULT_BLOCK_SIZE = 1024
 class FlatIndex:
     """Exact flat index; scores are inner products, i.e. cosines for unit rows."""
 
-    matrix: EmbeddingMatrix
     _data64: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return self._data64.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
-
-
-@dataclass
-class NeighborList:
-    """Nearest rows for one query, best first."""
-
-    query_id: str
-    neighbors: list[tuple[str, float]]
+        return self._data64.shape[1]
 
 
 def build(matrix: EmbeddingMatrix) -> FlatIndex:
@@ -52,7 +43,7 @@ def build(matrix: EmbeddingMatrix) -> FlatIndex:
             f"row {matrix.ids[row]!r} is not normalized (norm {norms[row]:.6f}); "
             "normalize before indexing"
         )
-    return FlatIndex(matrix=matrix, _data64=data64)
+    return FlatIndex(_data64=data64)
 
 
 def search_arrays(
@@ -96,22 +87,3 @@ def search_arrays(
     top_scores = np.vstack([part[0] for part in parts])
     top_rows = np.vstack([part[1] for part in parts]).astype(np.int64)
     return top_scores, top_rows
-
-
-def search(
-    index: FlatIndex,
-    queries: EmbeddingMatrix,
-    k: int,
-    workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> list[NeighborList]:
-    """Top-k neighbors for every query row, as id/score lists."""
-    scores, rows = search_arrays(index, queries.data, k, workers=workers, block_size=block_size)
-    ids = index.matrix.ids
-    return [
-        NeighborList(
-            query_id=query_id,
-            neighbors=[(ids[int(row)], float(score)) for score, row in zip(scores[qi], rows[qi])],
-        )
-        for qi, query_id in enumerate(queries.ids)
-    ]

@@ -18,9 +18,10 @@ Candidate = tuple[str, str, float, float]
 
 @dataclass(frozen=True)
 class MarginParams:
-    """Neighborhood size for margin scoring."""
+    """Neighborhood size for margin scoring and an optional floor on mined margins."""
 
     k: int = 16
+    min_margin: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -112,8 +113,12 @@ def mine(
     params: MarginParams = MarginParams(),
     workers: int = 1,
 ) -> list[AlignedUnitPair]:
-    """margin_scores followed by greedy_match."""
-    return greedy_match(margin_scores(x, y, params, workers=workers))
+    """margin_scores, greedy_match, then drop pairs below params.min_margin
+    (after matching, so a dropped pair still blocks weaker pairs on its ids)."""
+    pairs = greedy_match(margin_scores(x, y, params, workers=workers))
+    if params.min_margin is not None:
+        pairs = [pair for pair in pairs if pair.margin >= params.min_margin]
+    return pairs
 
 
 def write_pairs_tsv(pairs: Sequence[AlignedUnitPair], path: str | Path) -> None:

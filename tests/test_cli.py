@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from chunkalign.cli import main
-from chunkalign.embed_store import read_matrix, write_matrix
+from chunkalign.corpus import load_corpus
+from chunkalign.embed_store import normalize, read_matrix, write_matrix
+from chunkalign.miner import MarginParams, write_pairs_tsv
+from chunkalign.pooled import align_documents_pooled
+from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
 from synth import planted_corpus
 
@@ -56,6 +60,12 @@ def aligned_setup(tmp_path):
     return paths
 
 
+def median_margin(pairs_tsv):
+    margins = sorted(float(line.split("\t")[3])
+                     for line in pairs_tsv.read_text().splitlines()[1:])
+    return margins[len(margins) // 2]
+
+
 def align_argv(paths, out_dir, *extra):
     return [
         "align",
@@ -92,10 +102,12 @@ class TestSegment:
         # ceil(3 / 2) = 2 units per doc
         assert len(lines) == 28
 
-    def test_zero_granularity_is_usage_error(self, tmp_path, aligned_setup):
-        code = run_cli(["segment", "--manifest", str(aligned_setup["src_manifest"]),
-                        "-g", "0", "--out", str(tmp_path / "x.tsv")])
-        assert code == 1
+    def test_zero_granularity_is_usage_error(self, tmp_path, aligned_setup, capsys):
+        for value in ("0", "doc"):
+            code = run_cli(["segment", "--manifest", str(aligned_setup["src_manifest"]),
+                            "-g", value, "--out", str(tmp_path / "x.tsv")])
+            assert code == 1
+        assert "positive integer, got 'doc'" in capsys.readouterr().err
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["segment", "--manifest", str(tmp_path / "nope.jsonl"),
@@ -223,6 +235,43 @@ class TestAlignPooled:
                                   "--mode", "pooled", "--keep-all"))
         assert code == 1
 
+    def test_min_margin_matches_library(self, aligned_setup):
+        src_docs = load_corpus(aligned_setup["src_manifest"])
+        tgt_docs = load_corpus(aligned_setup["tgt_manifest"])
+        src = normalize(read_matrix(aligned_setup["src_emb"]))
+        tgt = normalize(read_matrix(aligned_setup["tgt_emb"]))
+        unfloored = aligned_setup["root"] / "unfloored.tsv"
+        write_pairs_tsv(align_documents_pooled(src_docs, tgt_docs, src, tgt, PoolingMethod.MP),
+                        unfloored)
+        floor = median_margin(unfloored)
+        expected = align_documents_pooled(src_docs, tgt_docs, src, tgt, PoolingMethod.MP,
+                                          MarginParams(min_margin=floor))
+        assert 0 < len(expected) < len(unfloored.read_text().splitlines()) - 1
+        expected_path = aligned_setup["root"] / "expected.tsv"
+        write_pairs_tsv(expected, expected_path)
+        out_dir = aligned_setup["root"] / "pooled_mm"
+        assert run_cli(align_argv(aligned_setup, out_dir, "--mode", "pooled",
+                                  "--min-margin", repr(floor))) == 0
+        assert (out_dir / "pairs.tsv").read_bytes() == expected_path.read_bytes()
+
+
+class TestNonFiniteEmbeddings:
+    @pytest.mark.parametrize("command", ["dac", "pooled", "pool"])
+    def test_nan_row_is_usage_error_naming_id(self, aligned_setup, capsys, command):
+        matrix = read_matrix(aligned_setup["src_emb"])
+        matrix.data[3, 0] = np.nan
+        nan_path = aligned_setup["root"] / "nan.demb"
+        write_matrix(matrix, nan_path)
+        out = aligned_setup["root"] / "nan_out"
+        if command == "pool":
+            argv = ["pool", "--manifest", str(aligned_setup["src_manifest"]),
+                    "--embeddings", str(nan_path), "--out", str(out)]
+        else:
+            argv = align_argv(aligned_setup, out, "--mode", command)
+            argv[argv.index("--src-embeddings") + 1] = str(nan_path)
+        assert run_cli(argv) == 1
+        assert f"non-finite embedding for id {matrix.ids[3]!r}" in capsys.readouterr().err
+
 
 class TestNoiseInjectionFlags:
     def test_align_with_noise_pools(self, tmp_path):
@@ -283,14 +332,30 @@ class TestSweep:
         assert len(config["thresholds"]) == 11
 
     def test_single_point_sweep_matches_align_report(self, aligned_setup):
-        sweep_dir = aligned_setup["root"] / "sp"
-        align_dir = aligned_setup["root"] / "ap"
-        assert run_cli(self.sweep_argv(aligned_setup, sweep_dir, "0.1")) == 0
-        assert run_cli(align_argv(aligned_setup, align_dir, "--threshold", "0.1",
-                                  "--gold", str(aligned_setup["gold"]))) == 0
-        sweep_row = (sweep_dir / "reports.tsv").read_text().splitlines()[1]
-        align_row = (align_dir / "report.tsv").read_text().splitlines()[1]
-        assert sweep_row == align_row
+        root = aligned_setup["root"]
+        assert run_cli(align_argv(aligned_setup, root / "all", "--dump-chunk-pairs")) == 0
+        all_chunks = (root / "all" / "chunk_pairs.tsv").read_text().splitlines()
+        floor = repr(median_margin(root / "all" / "chunk_pairs.tsv"))
+        for name, extra in [
+            ("plain", []),
+            ("keep", ["--keep-all"]),
+            ("floor", ["--min-margin", floor]),
+            ("floor_keep", ["--min-margin", floor, "--keep-all"]),
+        ]:
+            sweep_dir = root / f"sp_{name}"
+            align_dir = root / f"ap_{name}"
+            assert run_cli(self.sweep_argv(aligned_setup, sweep_dir, "0.1", *extra)) == 0
+            assert run_cli(align_argv(aligned_setup, align_dir, "--threshold", "0.1",
+                                      "--gold", str(aligned_setup["gold"]),
+                                      "--dump-chunk-pairs", *extra)) == 0
+            sweep_row = (sweep_dir / "reports.tsv").read_text().splitlines()[1]
+            align_row = (align_dir / "report.tsv").read_text().splitlines()[1]
+            assert sweep_row == align_row
+            kept = (align_dir / "chunk_pairs.tsv").read_text().splitlines()
+            if "--min-margin" in extra:
+                assert 1 < len(kept) < len(all_chunks)
+            else:
+                assert kept == all_chunks
 
     def test_json_format(self, aligned_setup):
         out_dir = aligned_setup["root"] / "sj"

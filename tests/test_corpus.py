@@ -80,14 +80,15 @@ class TestLoadCorpus:
 class TestGranularity:
     def test_from_string(self):
         assert Granularity.from_string("4").sentences == 4
-        assert Granularity.from_string("doc").is_whole_document
-        assert str(Granularity.from_string("DOC")) == "doc"
+        assert str(Granularity.from_string(" 3 ")) == "3"
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             Granularity.from_string("0")
         with pytest.raises(ValueError):
             Granularity.from_string("two")
+        with pytest.raises(ValueError, match="positive integer, got 'doc'"):
+            Granularity.from_string("doc")
         with pytest.raises(ValueError):
             Granularity(-1)
 
@@ -113,10 +114,6 @@ class TestSegment:
         units = segment(self.doc(3), Granularity(8))
         assert len(units) == 1
         assert units[0].sentence_count == 3
-
-    def test_whole_document_rejected(self):
-        with pytest.raises(ValueError, match="integer granularity"):
-            segment(self.doc(3), Granularity.whole_document())
 
     def test_token_counts(self):
         doc = Document(doc_id="d", lang="en", sentences=("a b c", "d e"))

@@ -201,9 +201,8 @@ class TestAlignDocumentsDac:
     def test_min_margin_floor_can_empty_the_result(self):
         src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
             n_pairs=5, chunks_per_doc=2, n_noise=0)
-        config = DacConfig(threshold=0.1, margin_params=MarginParams(k=4))
-        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config,
-                                     min_margin=1e9)
+        config = DacConfig(threshold=0.1, margin_params=MarginParams(k=4, min_margin=1e9))
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
         assert chosen == []
 
     def test_mine_chunk_pairs_counts(self):
@@ -216,13 +215,6 @@ class TestAlignDocumentsDac:
         assert len(counts_src) == len(src_docs)
         assert len(counts_tgt) == len(tgt_docs)
         assert pairs
-
-    def test_whole_document_granularity_rejected(self):
-        src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
-            n_pairs=2, chunks_per_doc=2, n_noise=0)
-        config = DacConfig(granularity=Granularity.whole_document())
-        with pytest.raises(ValueError, match="integer granularity"):
-            align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
 
     def test_missing_embedding_raises_keyerror(self):
         src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(

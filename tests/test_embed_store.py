@@ -3,10 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from chunkalign.corpus import ChunkUnit
 from chunkalign.embed_store import (
     EmbeddingMatrix,
-    fetch_embeddings,
     fetch_vectors,
     normalize,
     read_matrix,
@@ -56,6 +54,12 @@ class TestNormalize:
     def test_zero_row_names_id(self):
         m = EmbeddingMatrix(ids=["ok", "bad#3"], data=np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="zero-norm embedding for id 'bad#3'"):
+            normalize(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_names_id(self, value):
+        m = EmbeddingMatrix(ids=["ok", "bad#3"], data=np.array([[1.0, 0.0], [value, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite embedding for id 'bad#3'"):
             normalize(m)
 
     def test_norms_within_tolerance(self):
@@ -211,16 +215,6 @@ class TestFetch:
         state["zero_text"] = "void"
         with pytest.raises(ValueError, match="zero-norm embedding for id 'z#0'"):
             fetch_vectors(["a#0", "z#0"], ["fine", "void"], url)
-
-    def test_fetch_embeddings_wrapper(self, embed_server):
-        url, _ = embed_server
-        units = [
-            ChunkUnit("d#0", "d", 0, "first chunk", 1, 2),
-            ChunkUnit("d#1", "d", 1, "second chunk", 1, 2),
-        ]
-        matrix = fetch_embeddings(units, url, batch_size=32)
-        assert matrix.ids == ["d#0", "d#1"]
-        assert matrix.dim == 8
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ class TestLoaders:
         path.write_text("a\tb\na\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate pair"):
             load_pairs(path)
+
+    def test_load_pairs_linear_in_rows(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("".join(f"s{i}\tt{i}\n" for i in range(20_000)), encoding="utf-8")
+        start = time.perf_counter()
+        assert len(load_pairs(path)) == 20_000
+        assert time.perf_counter() - start < 2.0
 
 
 class TestScore:

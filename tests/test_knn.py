@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunkalign.embed_store import EmbeddingMatrix
-from chunkalign.knn import FlatIndex, build, search, search_arrays
+from chunkalign.knn import FlatIndex, build, search_arrays
 from conftest import random_unit_matrix
 from oracles import brute_force_topk
 
@@ -137,14 +137,3 @@ class TestSearchArrays:
         scores, _ = search_arrays(index, queries, k=6)
         assert np.all(np.diff(scores, axis=1) <= 0)
 
-
-class TestSearch:
-    def test_neighbor_lists_carry_ids(self):
-        base = unit_matrix(["p", "q"], np.eye(2))
-        queries = unit_matrix(["x", "y"], [[0.0, 1.0], [1.0, 0.0]])
-        index = build(base)
-        results = search(index, queries, k=2)
-        assert [r.query_id for r in results] == ["x", "y"]
-        assert results[0].neighbors[0] == ("q", 1.0)
-        assert results[1].neighbors[0] == ("p", 1.0)
-        assert len(results[0].neighbors) == 2
