@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -145,9 +144,10 @@ def fetch_vectors(
     """Fetch embeddings for texts from the HTTP service, rows in input order.
 
     The service takes POST {"texts": [...]} and answers {"vectors": [[...],
-    ...]}.  Transport failures are retried with exponential backoff; contract
-    violations (wrong count, ragged or non-finite vectors) fail immediately.
-    Rows are normalized before the matrix is returned.
+    ...]}.  Transport failures (connection errors, timeouts, 429, 5xx) are
+    retried with exponential backoff; contract violations (other 4xx, a body
+    that is not JSON, wrong count, ragged or non-finite vectors) fail
+    immediately.  Rows are normalized before the matrix is returned.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
@@ -177,17 +177,35 @@ def fetch_vectors(
 
 
 def _post_batch(endpoint: str, batch: list[str], attempts: int, retry_wait: float, timeout: float):
-    last_error: Exception | None = None
+    """POST one batch and return the parsed JSON body.
+
+    Connection errors, timeouts, 429 and 5xx are retried; another 4xx and a
+    body that is not JSON are contract violations and fail at once.
+    """
+    import requests  # only fetching talks HTTP; every other command skips the import
+
+    last_error: Exception | str | None = None
     for attempt in range(attempts):
         if attempt:
             time.sleep(retry_wait * 2 ** (attempt - 1))
         try:
             response = requests.post(endpoint, json={"texts": batch}, timeout=timeout)
-            response.raise_for_status()
-            return response.json()
-        except requests.RequestException as exc:
+        except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = exc
-            logger.warning(
-                "embedding request failed (attempt %d/%d): %s", attempt + 1, attempts, exc
-            )
+        else:
+            status = response.status_code
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+            elif status >= 400:
+                raise ValueError(f"embedding service rejected the batch with HTTP {status}")
+            else:
+                try:
+                    return response.json()
+                except ValueError:
+                    raise ValueError(
+                        f"embedding service answered HTTP {status} with a body that is not JSON"
+                    ) from None
+        logger.warning(
+            "embedding request failed (attempt %d/%d): %s", attempt + 1, attempts, last_error
+        )
     raise RuntimeError(f"embedding service failed after {attempts} attempts: {last_error}")

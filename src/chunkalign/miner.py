@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import knn
 from .embed_store import EmbeddingMatrix
 
@@ -60,27 +62,31 @@ def margin_scores(
         raise ValueError(f"embedding dimension mismatch: {x.dim} vs {y.dim}")
     index_y = knn.build(y)
     index_x = knn.build(x)
-    fwd_scores, fwd_rows = knn.search_arrays(index_y, x.data, params.k, workers=workers)
-    bwd_scores, bwd_rows = knn.search_arrays(index_x, y.data, params.k, workers=workers)
+    (fwd_scores, fwd_rows), (bwd_scores, bwd_rows) = knn.search_arrays(
+        index_y, index_x.data, params.k, workers=workers
+    )
     avg_src = fwd_scores.mean(axis=1)
     avg_tgt = bwd_scores.mean(axis=1)
 
-    cosines: dict[tuple[int, int], float] = {}
-    for i in range(len(x)):
-        for j, cos in zip(fwd_rows[i], fwd_scores[i]):
-            cosines.setdefault((i, int(j)), float(cos))
-    for j in range(len(y)):
-        for i, cos in zip(bwd_rows[j], bwd_scores[j]):
-            cosines.setdefault((int(i), j), float(cos))
+    # candidates in forward-then-backward order, each pair kept once at its
+    # first occurrence, so the result keeps that order
+    n, m = len(x), len(y)
+    src = np.concatenate([np.repeat(np.arange(n), fwd_rows.shape[1]), bwd_rows.ravel()])
+    tgt = np.concatenate([fwd_rows.ravel(), np.repeat(np.arange(m), bwd_rows.shape[1])])
+    cosines = np.concatenate([fwd_scores.ravel(), bwd_scores.ravel()])
+    _, first = np.unique(src * m + tgt, return_index=True)
+    first.sort()
+    src, tgt, cosines = src[first], tgt[first], cosines[first]
 
-    results: list[Candidate] = []
-    dropped = 0
-    for (i, j), cos in cosines.items():
-        denominator = 0.5 * (avg_src[i] + avg_tgt[j])
-        if denominator == 0.0:
-            dropped += 1
-            continue
-        results.append((x.ids[i], y.ids[j], cos, cos / float(denominator)))
+    denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
+    kept = denominators != 0.0
+    dropped = len(kept) - int(kept.sum())
+    src, tgt, cosines = src[kept], tgt[kept], cosines[kept]
+    margins = cosines / denominators[kept]
+    results: list[Candidate] = [
+        (x.ids[i], y.ids[j], cos, margin)
+        for i, j, cos, margin in zip(src.tolist(), tgt.tolist(), cosines.tolist(), margins.tolist())
+    ]
     if dropped:
         logger.debug("dropped %d candidates with a zero margin denominator", dropped)
     return results

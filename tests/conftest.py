@@ -20,8 +20,14 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         state["requests"] += 1
         if state["fail_remaining"] > 0:
             state["fail_remaining"] -= 1
-            self.send_response(500)
+            self.send_response(state["fail_status"])
             self.end_headers()
+            return
+        if state["bad_body"]:
+            self.send_response(200)
+            self.send_header("Content-Length", "9")
+            self.end_headers()
+            self.wfile.write(b"<html/>\n\n")
             return
         length = int(self.headers.get("Content-Length", 0))
         texts = json.loads(self.rfile.read(length))["texts"]
@@ -49,7 +55,9 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    server.state = {"requests": 0, "fail_remaining": 0}
+    # fail_remaining: answer that many requests with fail_status and no body;
+    # bad_body: answer 200 with a body that is not JSON
+    server.state = {"requests": 0, "fail_remaining": 0, "fail_status": 500, "bad_body": False}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -59,10 +59,13 @@ def test_01_exact_knn_search(capsys):
             base = random_unit_matrix(rng, n, dim)
             queries = random_unit_matrix(rng, m, dim)
             index = build(EmbeddingMatrix(ids=[str(i) for i in range(n)], data=base))
-            scores, rows = search_arrays(index, queries, k=k)
-            exp_scores, exp_rows = brute_force_topk(base, queries, k)
-            np.testing.assert_array_equal(rows, exp_rows)
-            np.testing.assert_allclose(scores, exp_scores, atol=1e-6)
+            forward, backward = search_arrays(index, queries, k=k)
+            # backward ranks the queries for every index row
+            for (scores, rows), (searched, asking) in ((forward, (base, queries)),
+                                                        (backward, (queries, base))):
+                exp_scores, exp_rows = brute_force_topk(searched, asking, k)
+                np.testing.assert_array_equal(rows, exp_rows)
+                np.testing.assert_allclose(scores, exp_scores, atol=1e-6)
         assert time.monotonic() - started < 10.0
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chunkalign
 from chunkalign.cli import main
 from chunkalign.corpus import load_corpus
 from chunkalign.embed_store import normalize, read_matrix, write_matrix
@@ -454,6 +459,18 @@ class TestFetchCommand:
                         "--out", str(tmp_path / "x.demb")])
         assert code == 2
         assert "chunkalign: error" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_leaves_requests_out(self):
+        # only fetch-embeddings needs the HTTP client; the other commands
+        # should not pay for importing it
+        src = str(Path(chunkalign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, chunkalign.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestImportCommand:

@@ -1,3 +1,4 @@
+import socket
 import struct
 
 import numpy as np
@@ -196,6 +197,38 @@ class TestFetch:
         with pytest.raises(RuntimeError, match="failed after 3 attempts"):
             fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
         assert state["requests"] == 3
+
+    def test_client_error_not_retried(self, embed_server):
+        url, state = embed_server
+        state["fail_remaining"] = 99
+        state["fail_status"] = 400
+        with pytest.raises(ValueError, match="HTTP 400"):
+            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        assert state["requests"] == 1
+
+    def test_rate_limit_retried(self, embed_server):
+        url, state = embed_server
+        state["fail_remaining"] = 2
+        state["fail_status"] = 429
+        matrix = fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        assert len(matrix) == 1
+        assert state["requests"] == 3
+
+    def test_body_not_json_not_retried(self, embed_server):
+        url, state = embed_server
+        state["bad_body"] = True
+        with pytest.raises(ValueError, match="HTTP 200 with a body that is not JSON"):
+            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        assert state["requests"] == 1
+
+    def test_unreachable_service_retried(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # nothing listens on the port once the probe socket is closed
+        with pytest.raises(RuntimeError, match="failed after 2 attempts"):
+            fetch_vectors(["a"], ["hello"], f"http://127.0.0.1:{port}/embed",
+                          attempts=2, retry_wait=0.01)
 
     def test_count_mismatch_not_retried(self, embed_server):
         url, state = embed_server

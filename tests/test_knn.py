@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkalign.embed_store import EmbeddingMatrix
-from chunkalign.knn import FlatIndex, build, search_arrays
+from chunkalign.knn import build, search_arrays, top_k
 from conftest import random_unit_matrix
 from oracles import brute_force_topk
 
@@ -37,15 +39,22 @@ class TestBuild:
 class TestSearchArrays:
     def test_one_hot_self_match(self):
         index = build(unit_matrix(["a", "b", "c"], np.eye(3)))
-        scores, rows = search_arrays(index, np.eye(3, dtype=np.float32), k=1)
-        np.testing.assert_array_equal(rows, [[0], [1], [2]])
-        np.testing.assert_array_equal(scores, np.ones((3, 1)))
+        forward, backward = search_arrays(index, np.eye(3, dtype=np.float32), k=1)
+        for scores, rows in (forward, backward):
+            np.testing.assert_array_equal(rows, [[0], [1], [2]])
+            np.testing.assert_array_equal(scores, np.ones((3, 1)))
 
     def test_k_clamped_to_index_size(self):
         index = build(unit_matrix(["a", "b"], np.eye(2)))
-        scores, rows = search_arrays(index, np.eye(2, dtype=np.float32), k=10)
+        (scores, rows), _ = search_arrays(index, np.eye(2, dtype=np.float32), k=10)
         assert rows.shape == (2, 2)
         assert scores.shape == (2, 2)
+
+    def test_backward_k_clamped_to_query_count(self):
+        index = build(unit_matrix(["a", "b", "c"], np.eye(3)))
+        _, (scores, rows) = search_arrays(index, np.eye(3, dtype=np.float32)[:2], k=10)
+        assert rows.shape == scores.shape == (3, 2)
+        np.testing.assert_array_equal(rows, [[0, 1], [1, 0], [0, 1]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -57,27 +66,34 @@ class TestSearchArrays:
             base = random_unit_matrix(rng, n, dim)
             queries = random_unit_matrix(rng, m, dim)
             index = build(unit_matrix([str(i) for i in range(n)], base))
-            scores, rows = search_arrays(index, queries, k=k)
+            (scores, rows), (back_scores, back_rows) = search_arrays(index, queries, k=k)
             exp_scores, exp_rows = brute_force_topk(base, queries, k)
             np.testing.assert_array_equal(rows, exp_rows)
             np.testing.assert_allclose(scores, exp_scores, atol=1e-6)
+            exp_scores, exp_rows = brute_force_topk(queries, base, k)
+            np.testing.assert_array_equal(back_rows, exp_rows)
+            np.testing.assert_allclose(back_scores, exp_scores, atol=1e-6)
 
     def test_duplicate_rows_tie_break_ascending(self):
         row = np.array([1.0, 0.0], dtype=np.float32)
         index = build(unit_matrix(["a", "b", "c"], [row, row, row]))
-        scores, rows = search_arrays(index, row[None, :], k=3)
+        (scores, rows), _ = search_arrays(index, row[None, :], k=3)
         np.testing.assert_array_equal(rows, [[0, 1, 2]])
         assert np.all(scores == scores[0, 0])
+        # the same ties seen from the index side, across tiles of one query
+        _, (_, back_rows) = search_arrays(index, np.stack([row] * 5), k=3, block_size=2)
+        np.testing.assert_array_equal(back_rows, [[0, 1, 2]] * 3)
 
     def test_k_prefix_consistency(self):
         rng = np.random.default_rng(7)
         base = random_unit_matrix(rng, 30, 6)
-        queries = random_unit_matrix(rng, 5, 6)
+        queries = random_unit_matrix(rng, 12, 6)
         index = build(unit_matrix([str(i) for i in range(30)], base))
-        scores5, rows5 = search_arrays(index, queries, k=5)
-        scores2, rows2 = search_arrays(index, queries, k=2)
-        np.testing.assert_array_equal(rows5[:, :2], rows2)
-        np.testing.assert_array_equal(scores5[:, :2], scores2)
+        five = search_arrays(index, queries, k=5)
+        two = search_arrays(index, queries, k=2)
+        for (scores5, rows5), (scores2, rows2) in zip(five, two):
+            np.testing.assert_array_equal(rows5[:, :2], rows2)
+            np.testing.assert_array_equal(scores5[:, :2], scores2)
 
     def test_workers_do_not_change_results(self):
         # same block shapes mean the same BLAS calls, so bytes must match
@@ -85,13 +101,12 @@ class TestSearchArrays:
         base = random_unit_matrix(rng, 120, 16)
         queries = random_unit_matrix(rng, 300, 16)
         index = build(unit_matrix([str(i) for i in range(120)], base))
-        ref_scores, ref_rows = search_arrays(index, queries, k=9, workers=1,
-                                             block_size=64)
+        reference = search_arrays(index, queries, k=9, workers=1, block_size=64)
         for workers in (2, 4, 8):
-            scores, rows = search_arrays(index, queries, k=9, workers=workers,
-                                         block_size=64)
-            np.testing.assert_array_equal(rows, ref_rows)
-            assert scores.tobytes() == ref_scores.tobytes()
+            result = search_arrays(index, queries, k=9, workers=workers, block_size=64)
+            for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
+                np.testing.assert_array_equal(rows, ref_rows)
+                assert scores.tobytes() == ref_scores.tobytes()
 
     def test_block_size_does_not_change_rankings(self):
         # accumulation order inside the matmul may shift the last ulp of a
@@ -100,12 +115,12 @@ class TestSearchArrays:
         base = random_unit_matrix(rng, 120, 16)
         queries = random_unit_matrix(rng, 300, 16)
         index = build(unit_matrix([str(i) for i in range(120)], base))
-        ref_scores, ref_rows = search_arrays(index, queries, k=9)
+        reference = search_arrays(index, queries, k=9)
         for block_size in (1, 17, 64, 301):
-            scores, rows = search_arrays(index, queries, k=9, workers=3,
-                                         block_size=block_size)
-            np.testing.assert_array_equal(rows, ref_rows)
-            np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
+            result = search_arrays(index, queries, k=9, workers=3, block_size=block_size)
+            for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
+                np.testing.assert_array_equal(rows, ref_rows)
+                np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
 
     def test_dim_mismatch(self):
         index = build(unit_matrix(["a"], [[1.0, 0.0]]))
@@ -134,6 +149,90 @@ class TestSearchArrays:
         base = random_unit_matrix(rng, 40, 8)
         queries = random_unit_matrix(rng, 10, 8)
         index = build(unit_matrix([str(i) for i in range(40)], base))
-        scores, _ = search_arrays(index, queries, k=6)
-        assert np.all(np.diff(scores, axis=1) <= 0)
+        for scores, _ in search_arrays(index, queries, k=6):
+            assert np.all(np.diff(scores, axis=1) <= 0)
 
+
+class TestTopK:
+    def test_ties_break_by_column(self):
+        scores = np.array([[0.5, 0.9, 0.5, 0.9, 0.5]])
+        values, cols = top_k(scores, 3)
+        np.testing.assert_array_equal(cols, [[1, 3, 0]])
+        np.testing.assert_array_equal(values, [[0.9, 0.9, 0.5]])
+
+    def test_ties_break_by_label(self):
+        scores = np.array([[0.5, 0.5, 0.5, 0.2]])
+        labels = np.array([[7, 3, 5, 0]])
+        values, got = top_k(scores, 2, labels)
+        np.testing.assert_array_equal(got, [[3, 5]])
+        np.testing.assert_array_equal(values, [[0.5, 0.5]])
+
+    def test_full_depth_is_a_sort(self):
+        scores = np.array([[0.1, -0.3, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0]])
+        _, cols = top_k(scores, 4)
+        np.testing.assert_array_equal(cols, [[2, 0, 3, 1], [0, 1, 2, 3]])
+
+    def test_transposed_view(self):
+        scores = np.array([[0.3, 0.1], [0.3, 0.4], [0.2, 0.4]])
+        values, rows = top_k(scores.T, 2)
+        np.testing.assert_array_equal(rows, [[0, 1], [1, 2]])
+        np.testing.assert_array_equal(values, [[0.3, 0.3], [0.4, 0.4]])
+
+
+@st.composite
+def tie_heavy_search(draw):
+    """Index and query rows drawn from a few quantized unit vectors, so rows
+    repeat and scores tie; k may exceed either side.
+
+    Each palette vector is a signed one-hot or has four entries of +-0.5, so
+    every score is a multiple of 0.25 and exact in any summation order:
+    ties are real ties, not artifacts of rounding in the oracle or the GEMM.
+    """
+    dim = draw(st.integers(4, 8))
+    palette = []
+    for _ in range(draw(st.integers(1, 4))):
+        vector = np.zeros(dim, dtype=np.float32)
+        width = draw(st.sampled_from([1, 4]))
+        places = draw(st.permutations(range(dim)))[:width]
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=width, max_size=width))
+        vector[places] = np.array(signs) / (1.0 if width == 1 else 2.0)
+        palette.append(vector)
+    pick = st.sampled_from(range(len(palette)))
+    base = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
+    queries = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
+    return base, queries, draw(st.integers(1, 40))
+
+
+class TestSearchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy_search(), st.sampled_from([1, 7, 512]))
+    def test_both_directions_match_brute_force(self, case, block_size):
+        base, queries, k = case
+        index = build(unit_matrix([str(i) for i in range(len(base))], base))
+        (scores, rows), (back_scores, back_rows) = search_arrays(
+            index, queries, k=k, workers=2, block_size=block_size)
+        exp_scores, exp_rows = brute_force_topk(base, queries, k)
+        np.testing.assert_array_equal(rows, exp_rows)
+        np.testing.assert_array_equal(scores, exp_scores)
+        exp_scores, exp_rows = brute_force_topk(queries, base, k)
+        np.testing.assert_array_equal(back_rows, exp_rows)
+        np.testing.assert_array_equal(back_scores, exp_scores)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tie_heavy_search())
+    def test_workers_and_block_size_invariance(self, case):
+        base, queries, k = case
+        index = build(unit_matrix([str(i) for i in range(len(base))], base))
+        for block_size in (1, 7, 512):
+            reference = search_arrays(index, queries, k=k, workers=1, block_size=block_size)
+            for workers in (2, 3):
+                result = search_arrays(index, queries, k=k, workers=workers,
+                                       block_size=block_size)
+                for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
+                    assert rows.tobytes() == ref_rows.tobytes()
+                    assert scores.tobytes() == ref_scores.tobytes()
+        baseline = search_arrays(index, queries, k=k, block_size=512)
+        for block_size in (1, 7):
+            result = search_arrays(index, queries, k=k, block_size=block_size)
+            for (_, rows), (_, ref_rows) in zip(result, baseline):
+                np.testing.assert_array_equal(rows, ref_rows)
