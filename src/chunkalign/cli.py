@@ -523,6 +523,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # basicConfig leaves a root logger that already has handlers alone (a
+    # host program's, pytest's), so the package logger follows --verbose too
+    logging.getLogger("chunkalign").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     prepare, run = _COMMANDS[args.command]
     try:
         ctx = prepare(args)

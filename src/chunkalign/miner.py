@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -13,10 +13,6 @@ from . import knn
 from .embed_store import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
-
-# (src_id, tgt_id, cosine, margin)
-Candidate = tuple[str, str, float, float]
-
 
 @dataclass(frozen=True)
 class MarginParams:
@@ -40,12 +36,34 @@ class AlignedUnitPair:
     margin: float
 
 
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Scored candidate pairs as parallel arrays.
+
+    Candidate c pairs row src_rows[c] of the source side with row tgt_rows[c]
+    of the target side; src_ids and tgt_ids are those sides' row ids.
+    zero_denominators counts the pairs of the k-NN union that were dropped
+    for a zero margin denominator.
+    """
+
+    src_rows: np.ndarray
+    tgt_rows: np.ndarray
+    cosines: np.ndarray
+    margins: np.ndarray
+    src_ids: Sequence[str]
+    tgt_ids: Sequence[str]
+    zero_denominators: int
+
+    def __len__(self) -> int:
+        return len(self.margins)
+
+
 def margin_scores(
     x: EmbeddingMatrix,
     y: EmbeddingMatrix,
     params: MarginParams = MarginParams(),
     workers: int = 1,
-) -> list[Candidate]:
+) -> Candidates:
     """Score the union of forward and backward k-NN candidate pairs.
 
     A pair's margin is its cosine divided by the mean of the two endpoints'
@@ -80,37 +98,72 @@ def margin_scores(
 
     denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
     kept = denominators != 0.0
-    dropped = len(kept) - int(kept.sum())
-    src, tgt, cosines = src[kept], tgt[kept], cosines[kept]
-    margins = cosines / denominators[kept]
-    results: list[Candidate] = [
-        (x.ids[i], y.ids[j], cos, margin)
-        for i, j, cos, margin in zip(src.tolist(), tgt.tolist(), cosines.tolist(), margins.tolist())
-    ]
-    if dropped:
-        logger.debug("dropped %d candidates with a zero margin denominator", dropped)
-    return results
+    cosines = cosines[kept]
+    return Candidates(
+        src_rows=src[kept],
+        tgt_rows=tgt[kept],
+        cosines=cosines,
+        margins=cosines / denominators[kept],
+        src_ids=x.ids,
+        tgt_ids=y.ids,
+        zero_denominators=len(kept) - int(np.count_nonzero(kept)),
+    )
 
 
-def greedy_match(candidates: Iterable[Candidate]) -> list[AlignedUnitPair]:
+def _string_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in Python string order.
+
+    Python's sort, not a numpy string array: numpy drops trailing NULs, so
+    ids that differ only in them would compare equal.
+    """
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
     """One-to-one matching: scan by descending margin, keep a pair iff neither
     endpoint is already taken.
 
-    Ties break on higher cosine, then on (src_id, tgt_id), so the outcome is
-    a total function of the candidate set.  The result is sorted by ids.
+    Ties break on higher cosine, then on (src_id, tgt_id) compared as
+    strings, so the outcome is a total function of the candidate set.  Only
+    accepted pairs become objects; the result is sorted by ids.
     """
-    ordered = sorted(candidates, key=lambda c: (-c[3], -c[2], c[0], c[1]))
-    taken_src: set[str] = set()
-    taken_tgt: set[str] = set()
-    accepted: list[AlignedUnitPair] = []
-    for src_id, tgt_id, cosine, margin in ordered:
-        if src_id in taken_src or tgt_id in taken_tgt:
+    margins = candidates.margins
+    src_key = _string_ranks(candidates.src_ids)[candidates.src_rows]
+    # (src_id, tgt_id) in string order as one integer
+    pair_key = (src_key * len(candidates.tgt_ids)
+                + _string_ranks(candidates.tgt_ids)[candidates.tgt_rows])
+    # sort by -margin (unstable, so any order within ties), then re-sort the
+    # runs of tied margins by the whole key; runs stay in place because
+    # -margin leads that key too
+    order = np.argsort(-margins)
+    ordered_margins = margins[order]
+    equal = ordered_margins[1:] == ordered_margins[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] |= equal
+    tied[:-1] |= equal
+    runs = order[tied]
+    order[tied] = runs[np.lexsort((pair_key[runs], -candidates.cosines[runs], -margins[runs]))]
+    taken_src = bytearray(len(candidates.src_ids))
+    taken_tgt = bytearray(len(candidates.tgt_ids))
+    accepted = []
+    for c, i, j in zip(order.tolist(), candidates.src_rows[order].tolist(),
+                       candidates.tgt_rows[order].tolist()):
+        if taken_src[i] or taken_tgt[j]:
             continue
-        taken_src.add(src_id)
-        taken_tgt.add(tgt_id)
-        accepted.append(AlignedUnitPair(src_id=src_id, tgt_id=tgt_id, cosine=cosine, margin=margin))
-    accepted.sort(key=lambda p: (p.src_id, p.tgt_id))
-    return accepted
+        taken_src[i] = taken_tgt[j] = 1
+        accepted.append(c)
+    # one-to-one, so the source key alone orders the accepted pairs by ids
+    chosen = np.array(accepted, dtype=np.int64)
+    chosen = chosen[np.argsort(src_key[chosen])]
+    return [
+        AlignedUnitPair(src_id=candidates.src_ids[i], tgt_id=candidates.tgt_ids[j],
+                        cosine=cosine, margin=margin)
+        for i, j, cosine, margin in zip(
+            candidates.src_rows[chosen].tolist(), candidates.tgt_rows[chosen].tolist(),
+            candidates.cosines[chosen].tolist(), candidates.margins[chosen].tolist())
+    ]
 
 
 def mine(
@@ -121,9 +174,17 @@ def mine(
 ) -> list[AlignedUnitPair]:
     """margin_scores, greedy_match, then drop pairs below params.min_margin
     (after matching, so a dropped pair still blocks weaker pairs on its ids)."""
-    pairs = greedy_match(margin_scores(x, y, params, workers=workers))
+    candidates = margin_scores(x, y, params, workers=workers)
+    matched = greedy_match(candidates)
+    pairs = matched
     if params.min_margin is not None:
-        pairs = [pair for pair in pairs if pair.margin >= params.min_margin]
+        pairs = [pair for pair in matched if pair.margin >= params.min_margin]
+    logger.debug(
+        "mining funnel: %d candidates, %d dropped for a zero margin denominator, "
+        "%d matched, %d kept at min_margin %s",
+        len(candidates), candidates.zero_denominators, len(matched), len(pairs),
+        params.min_margin,
+    )
     return pairs
 
 

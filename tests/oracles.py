@@ -2,10 +2,13 @@
 
 These recompute search and margin results with plain per-query loops and
 lexsort-based ranking so the library's blocked/batched paths have something
-honest to be compared against.
+honest to be compared against.  They also hold the conversions between the
+miner's array candidates and plain (src_id, tgt_id, cosine, margin) tuples.
 """
 
 import numpy as np
+
+from chunkalign.miner import AlignedUnitPair, Candidates
 
 
 def brute_force_topk(index_rows, queries, k):
@@ -51,6 +54,56 @@ def margin_oracle(x_rows, y_rows, k):
             continue
         out[(i, j)] = (cos, cos / denominator)
     return out
+
+
+def candidate_tuples(candidates):
+    """A Candidates value as a list of (src_id, tgt_id, cosine, margin)."""
+    return [
+        (candidates.src_ids[i], candidates.tgt_ids[j], cosine, margin)
+        for i, j, cosine, margin in zip(candidates.src_rows.tolist(), candidates.tgt_rows.tolist(),
+                                        candidates.cosines.tolist(), candidates.margins.tolist())
+    ]
+
+
+def candidates_from_tuples(tuples, src_ids=None, tgt_ids=None):
+    """Candidates holding the given (src_id, tgt_id, cosine, margin) tuples.
+
+    Each side's ids default to their order of first appearance.
+    """
+    tuples = list(tuples)
+    if src_ids is None:
+        src_ids = list(dict.fromkeys(t[0] for t in tuples))
+    if tgt_ids is None:
+        tgt_ids = list(dict.fromkeys(t[1] for t in tuples))
+    src_row = {unit_id: row for row, unit_id in enumerate(src_ids)}
+    tgt_row = {unit_id: row for row, unit_id in enumerate(tgt_ids)}
+    return Candidates(
+        src_rows=np.array([src_row[t[0]] for t in tuples], dtype=np.int64),
+        tgt_rows=np.array([tgt_row[t[1]] for t in tuples], dtype=np.int64),
+        cosines=np.array([t[2] for t in tuples], dtype=np.float64),
+        margins=np.array([t[3] for t in tuples], dtype=np.float64),
+        src_ids=list(src_ids),
+        tgt_ids=list(tgt_ids),
+        zero_denominators=0,
+    )
+
+
+def greedy_oracle(tuples):
+    """Greedy one-to-one matching over (src_id, tgt_id, cosine, margin) tuples.
+
+    Sorts the tuples by (-margin, -cosine, src_id, tgt_id), keeps a pair iff
+    neither id is taken yet, and returns the kept pairs sorted by ids.
+    """
+    ordered = sorted(tuples, key=lambda c: (-c[3], -c[2], c[0], c[1]))
+    taken_src, taken_tgt, accepted = set(), set(), []
+    for src_id, tgt_id, cosine, margin in ordered:
+        if src_id in taken_src or tgt_id in taken_tgt:
+            continue
+        taken_src.add(src_id)
+        taken_tgt.add(tgt_id)
+        accepted.append(AlignedUnitPair(src_id=src_id, tgt_id=tgt_id, cosine=cosine, margin=margin))
+    accepted.sort(key=lambda p: (p.src_id, p.tgt_id))
+    return accepted
 
 
 def pooled_oracle(rows, weights):

@@ -30,7 +30,13 @@ from chunkalign.miner import MarginParams, greedy_match, margin_scores
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod, build_idf, pool_document, tokenize
 from conftest import random_unit_matrix
-from oracles import brute_force_topk, margin_oracle, pooled_oracle
+from oracles import (
+    brute_force_topk,
+    candidate_tuples,
+    candidates_from_tuples,
+    margin_oracle,
+    pooled_oracle,
+)
 from synth import planted_corpus
 from test_cli import align_argv, run_cli, write_corpus, write_gold
 
@@ -75,7 +81,8 @@ def test_02_margin_scoring(capsys):
         x = EmbeddingMatrix(ids=["x1"], data=np.array([[1.0, 0.0]], dtype=np.float32))
         y = EmbeddingMatrix(ids=["y1", "y2"],
                             data=np.eye(2, dtype=np.float32))
-        scored = {(c[0], c[1]): c[3] for c in margin_scores(x, y, MarginParams(k=2))}
+        scored = {(c[0], c[1]): c[3]
+                  for c in candidate_tuples(margin_scores(x, y, MarginParams(k=2)))}
         assert scored[("x1", "y1")] == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert scored[("x1", "y2")] == pytest.approx(0.0, abs=1e-12)
 
@@ -85,7 +92,7 @@ def test_02_margin_scoring(capsys):
         x = EmbeddingMatrix(ids=[f"s{i}" for i in range(50)], data=x_rows)
         y = EmbeddingMatrix(ids=[f"t{j}" for j in range(50)], data=y_rows)
         got = {(c[0], c[1]): (c[2], c[3])
-               for c in margin_scores(x, y, MarginParams(k=8))}
+               for c in candidate_tuples(margin_scores(x, y, MarginParams(k=8)))}
         expected = margin_oracle(x_rows, y_rows, k=8)
         assert set(got) == {(f"s{i}", f"t{j}") for i, j in expected}
         for (i, j), (exp_cos, exp_margin) in expected.items():
@@ -224,7 +231,7 @@ def test_08_one_to_one_selection(capsys):
                 key = (f"s{int(rng.integers(0, 15))}", f"t{int(rng.integers(0, 15))}")
                 candidates.setdefault(
                     key, key + (float(rng.random()), float(rng.random() * 2)))
-            pairs = greedy_match(list(candidates.values()))
+            pairs = greedy_match(candidates_from_tuples(candidates.values()))
             assert len({p.src_id for p in pairs}) == len(pairs)
             assert len({p.tgt_id for p in pairs}) == len(pairs)
             accepted_src = {p.src_id for p in pairs}

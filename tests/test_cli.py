@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,33 @@ class TestAlignDac:
         argv[argv.index("--src-embeddings") + 1] = str(truncated_path)
         assert run_cli(argv) == 2
         assert "chunkalign: error" in capsys.readouterr().err
+
+
+class TestVerbose:
+    FUNNEL = re.compile(r"mining funnel: (\d+) candidates, (\d+) dropped .*, (\d+) matched, "
+                        r"(\d+) kept")
+
+    def funnel_lines(self, caplog):
+        return [record.getMessage() for record in caplog.records
+                if record.name == "chunkalign.miner" and "mining funnel" in record.getMessage()]
+
+    def test_verbose_logs_mining_funnel(self, aligned_setup, caplog):
+        quiet_dir = aligned_setup["root"] / "quiet"
+        assert run_cli(align_argv(aligned_setup, quiet_dir, "--dump-chunk-pairs")) == 0
+        assert self.funnel_lines(caplog) == []
+        matched = (quiet_dir / "chunk_pairs.tsv").read_text().splitlines()[1:]
+
+        out_dir = aligned_setup["root"] / "verbose"
+        floor = median_margin(quiet_dir / "chunk_pairs.tsv")
+        code = run_cli(["--verbose", *align_argv(aligned_setup, out_dir, "--dump-chunk-pairs",
+                                                 "--min-margin", str(floor))])
+        assert code == 0
+        (line,) = self.funnel_lines(caplog)
+        candidates, dropped, n_matched, kept = map(int, self.FUNNEL.search(line).groups())
+        assert dropped == 0
+        assert n_matched == len(matched)
+        assert kept == len((out_dir / "chunk_pairs.tsv").read_text().splitlines()[1:])
+        assert candidates > n_matched > kept > 0
 
 
 class TestAlignPooled:

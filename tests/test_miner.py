@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import (
@@ -11,7 +13,7 @@ from chunkalign.miner import (
     write_pairs_tsv,
 )
 from conftest import random_unit_matrix
-from oracles import margin_oracle
+from oracles import candidate_tuples, candidates_from_tuples, greedy_oracle, margin_oracle
 
 
 def unit_matrix(ids, rows):
@@ -33,7 +35,8 @@ class TestMarginScores:
         # A(x1) = (1+0)/2, A(y1) = 1/1... both averages use the opposite side
         x = unit_matrix(["x1"], [[1.0, 0.0]])
         y = unit_matrix(["y1", "y2"], [[1.0, 0.0], [0.0, 1.0]])
-        scored = {(c[0], c[1]): c for c in margin_scores(x, y, MarginParams(k=2))}
+        scored = {(c[0], c[1]): c
+                  for c in candidate_tuples(margin_scores(x, y, MarginParams(k=2)))}
         assert set(scored) == {("x1", "y1"), ("x1", "y2")}
         _, _, cos_11, margin_11 = scored[("x1", "y1")]
         assert cos_11 == pytest.approx(1.0, abs=1e-12)
@@ -45,7 +48,7 @@ class TestMarginScores:
     def test_identical_singletons_margin_one(self):
         x = unit_matrix(["a"], [[0.6, 0.8]])
         y = unit_matrix(["b"], [[0.6, 0.8]])
-        (src, tgt, cosine, margin), = margin_scores(x, y, MarginParams(k=4))
+        (src, tgt, cosine, margin), = candidate_tuples(margin_scores(x, y, MarginParams(k=4)))
         assert (src, tgt) == ("a", "b")
         assert cosine == pytest.approx(1.0, abs=1e-6)
         # single neighbor each side: denominator equals the cosine itself
@@ -57,7 +60,8 @@ class TestMarginScores:
         y_rows = random_unit_matrix(rng, 50, 12)
         x = unit_matrix([f"s{i}" for i in range(50)], x_rows)
         y = unit_matrix([f"t{j}" for j in range(50)], y_rows)
-        got = {(c[0], c[1]): (c[2], c[3]) for c in margin_scores(x, y, MarginParams(k=8))}
+        got = {(c[0], c[1]): (c[2], c[3])
+               for c in candidate_tuples(margin_scores(x, y, MarginParams(k=8)))}
         expected = margin_oracle(x_rows, y_rows, k=8)
         assert set(got) == {(f"s{i}", f"t{j}") for i, j in expected}
         for (i, j), (exp_cos, exp_margin) in expected.items():
@@ -69,11 +73,20 @@ class TestMarginScores:
         rng = np.random.default_rng(3)
         x = unit_matrix(["a", "b"], random_unit_matrix(rng, 2, 5))
         y = unit_matrix(["c", "d", "e"], random_unit_matrix(rng, 3, 5))
-        candidates = margin_scores(x, y, MarginParams(k=10))
+        candidates = candidate_tuples(margin_scores(x, y, MarginParams(k=10)))
         keys = [(c[0], c[1]) for c in candidates]
         assert len(keys) == len(set(keys))
         # with k covering both sides entirely every pair is a candidate
         assert len(keys) == 6
+
+    def test_zero_denominators_counted(self):
+        # opposite rows on both sides: every neighborhood average is 0
+        x = unit_matrix(["a", "b"], [[1.0, 0.0], [-1.0, 0.0]])
+        y = unit_matrix(["c", "d"], [[1.0, 0.0], [-1.0, 0.0]])
+        candidates = margin_scores(x, y, MarginParams(k=2))
+        assert len(candidates) == 0
+        assert candidates.zero_denominators == 4
+        assert greedy_match(candidates) == []
 
     def test_empty_sides_rejected(self):
         empty = EmbeddingMatrix(ids=[], data=np.empty((0, 4), dtype=np.float32))
@@ -103,19 +116,19 @@ class TestGreedyMatch:
             ("a", "c", 0.8, 1.5),
             ("d", "c", 0.7, 1.2),
         ]
-        pairs = greedy_match(candidates)
+        pairs = greedy_match(candidates_from_tuples(candidates))
         assert [(p.src_id, p.tgt_id) for p in pairs] == [("a", "b"), ("d", "c")]
         assert pairs[0] == AlignedUnitPair("a", "b", 0.9, 2.0)
 
     def test_empty_input(self):
-        assert greedy_match([]) == []
+        assert greedy_match(candidates_from_tuples([])) == []
 
     def test_margin_tie_breaks_on_cosine(self):
         candidates = [
             ("a", "low", 0.2, 1.0),
             ("a", "high", 0.9, 1.0),
         ]
-        pairs = greedy_match(candidates)
+        pairs = greedy_match(candidates_from_tuples(candidates))
         assert [(p.src_id, p.tgt_id) for p in pairs] == [("a", "high")]
 
     def test_full_tie_breaks_lexicographically(self):
@@ -123,15 +136,25 @@ class TestGreedyMatch:
             ("a", "zz", 0.5, 1.0),
             ("a", "bb", 0.5, 1.0),
         ]
-        pairs = greedy_match(candidates)
+        pairs = greedy_match(candidates_from_tuples(candidates))
         assert [(p.src_id, p.tgt_id) for p in pairs] == [("a", "bb")]
+
+    def test_trailing_nul_id_sorts_after_its_prefix(self):
+        # "b" < "b\x00" as Python strings; numpy string arrays would see two
+        # equal ids and fall back to row order
+        candidates = [
+            ("b\x00", "t", 0.5, 1.0),
+            ("b", "t", 0.5, 1.0),
+        ]
+        pairs = greedy_match(candidates_from_tuples(candidates))
+        assert [(p.src_id, p.tgt_id) for p in pairs] == [("b", "t")]
 
     def test_output_sorted_by_ids(self):
         candidates = [
             ("z", "z", 0.9, 9.0),
             ("a", "a", 0.8, 8.0),
         ]
-        pairs = greedy_match(candidates)
+        pairs = greedy_match(candidates_from_tuples(candidates))
         assert [(p.src_id, p.tgt_id) for p in pairs] == [("a", "a"), ("z", "z")]
 
     def test_one_to_one_property(self):
@@ -147,9 +170,35 @@ class TestGreedyMatch:
             seen = {}
             for c in candidates:
                 seen.setdefault((c[0], c[1]), c)
-            pairs = greedy_match(list(seen.values()))
+            pairs = greedy_match(candidates_from_tuples(seen.values()))
             assert len({p.src_id for p in pairs}) == len(pairs)
             assert len({p.tgt_id for p in pairs}) == len(pairs)
+
+
+# ids whose string order differs from their row order: numeric suffixes,
+# mixed lengths, non-ASCII, and a trailing NUL that a numpy string array
+# would drop
+TRICKY_IDS = ["s9", "s10", "s1", "s100", "b", "b\x00", "ab", "a", "Z", "é", "ß", "Ω"]
+side_ids = st.lists(st.sampled_from(TRICKY_IDS) | st.text(max_size=3),
+                    min_size=1, max_size=10, unique=True)
+# each example scores from a pool of at most three values, so ties in
+# margin and in cosine are common
+value_pools = st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                       min_size=1, max_size=3)
+
+
+class TestGreedyProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), src_ids=side_ids, tgt_ids=side_ids, pool=value_pools)
+    def test_matches_oracle(self, data, src_ids, tgt_ids, pool):
+        rows = data.draw(st.sets(st.tuples(st.integers(0, len(src_ids) - 1),
+                                           st.integers(0, len(tgt_ids) - 1))))
+        values = st.sampled_from(pool)
+        tuples = [(src_ids[i], tgt_ids[j], data.draw(values), data.draw(values))
+                  for i, j in sorted(rows)]
+        tuples = data.draw(st.permutations(tuples))
+        candidates = candidates_from_tuples(tuples, src_ids, tgt_ids)
+        assert greedy_match(candidates) == greedy_oracle(tuples)
 
 
 class TestMine:
@@ -168,6 +217,25 @@ class TestMine:
         pairs = mine(x, y, MarginParams(k=4))
         twins = {(f"s{i}", f"t{i}") for i in range(20)}
         assert {(p.src_id, p.tgt_id) for p in pairs} >= twins
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_permutation_invariant(self, seed):
+        # generic rows: exact score ties at the k-th boundary break by row
+        # number, so the invariant holds only without them.  Entries are
+        # multiples of 2**-12, so every float64 dot product is exact and does
+        # not depend on the summation order a BLAS kernel picks for a row's
+        # position; 600 source rows span two search tiles.
+        rng = np.random.default_rng(seed)
+        x_ids = [f"s{i}" for i in range(600)]
+        y_ids = [f"t{j}" for j in range(300)]
+        x_rows = np.round(random_unit_matrix(rng, 600, 24) * 4096) / 4096
+        y_rows = np.round(random_unit_matrix(rng, 300, 24) * 4096) / 4096
+        params = MarginParams(k=8)
+        expected = mine(unit_matrix(x_ids, x_rows), unit_matrix(y_ids, y_rows), params)
+        px, py = rng.permutation(600), rng.permutation(300)
+        permuted = mine(unit_matrix([x_ids[i] for i in px], x_rows[px]),
+                        unit_matrix([y_ids[j] for j in py], y_rows[py]), params)
+        assert permuted == expected
 
     def test_pair_count_bounded_by_smaller_side(self):
         rng = np.random.default_rng(9)
