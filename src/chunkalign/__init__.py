@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .corpus import ChunkUnit, Document, Granularity, load_corpus, segment
 from .dac import (
-    DacConfig,
     DocPairScore,
     aggregate,
     align_documents_dac,
@@ -35,7 +34,6 @@ from .pooling import IdfTable, PoolingMethod, build_idf, pool_document
 __all__ = [
     "AlignedUnitPair",
     "ChunkUnit",
-    "DacConfig",
     "DocPairScore",
     "Document",
     "EmbeddingMatrix",

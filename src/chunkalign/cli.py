@@ -10,13 +10,10 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .corpus import Granularity, load_corpus, read_units_tsv, segment
-from .corpus import write_units_tsv
-from .dac import DacConfig, aggregate, mine_chunk_pairs, select_pairs, write_scores_tsv
-from .embed_store import EmbeddingMatrix, fetch_vectors, normalize, read_matrix, write_matrix
+from .corpus import Granularity, load_corpus, read_units_tsv, segment, write_units_tsv
+from .dac import DEFAULT_THRESHOLD, mine_chunk_pairs, select_pairs, write_scores_tsv
+from .embed_store import fetch_vectors, matrix_from_vectors, normalize, read_matrix, write_matrix
 from .evaluation import (
     NoiseConfig,
     derive_side_seeds,
@@ -29,9 +26,8 @@ from .evaluation import (
     write_reports_tsv,
 )
 from .miner import MarginParams, write_pairs_tsv
-from .pooled import align_documents_pooled
+from .pooled import align_documents_pooled, pool_corpus
 from .pooling import PoolingMethod
-from .pooled import pool_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -292,24 +288,15 @@ def _prepare_import(args) -> dict:
             if unit_id in vectors:
                 raise ValueError(f"{args.vectors}:{lineno}: duplicate vector for {unit_id!r}")
             vectors[unit_id] = record["vector"]
-    missing = [unit_id for unit_id, _ in units if unit_id not in vectors]
+    ids = [unit_id for unit_id, _ in units]
+    missing = [unit_id for unit_id in ids if unit_id not in vectors]
     if missing:
         raise ValueError(f"no vector for unit {missing[0]!r} ({len(missing)} missing in total)")
-    return {"units": units, "vectors": vectors}
+    return {"matrix": matrix_from_vectors(ids, [vectors[unit_id] for unit_id in ids], "imported")}
 
 
 def _run_import(args, ctx) -> None:
-    ids = [unit_id for unit_id, _ in ctx["units"]]
-    try:
-        data = np.asarray([ctx["vectors"][unit_id] for unit_id in ids], dtype=np.float32)
-    except ValueError:
-        raise ValueError("imported vectors have differing dimensions") from None
-    if data.ndim != 2:
-        raise ValueError("imported vectors have differing dimensions")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite vector for unit {ids[int(bad[0])]!r}")
-    matrix = normalize(EmbeddingMatrix(ids=ids, data=data))
+    matrix = ctx["matrix"]
     write_matrix(matrix, args.out)
     print(f"wrote {len(matrix)} x {matrix.dim} embeddings to {args.out}")
 
@@ -371,6 +358,10 @@ def _prepare_align(args) -> dict:
     if args.mode == "dac":
         if args.method is not None:
             raise ValueError("--method is only valid with --mode pooled")
+        if args.granularity is None:
+            args.granularity = Granularity(1)
+        if args.threshold is None:
+            args.threshold = DEFAULT_THRESHOLD
     else:
         for flag, name in [
             (args.granularity, "--granularity"),
@@ -382,13 +373,18 @@ def _prepare_align(args) -> dict:
             raise ValueError("--keep-all is only valid with --mode dac")
         if args.dump_chunk_pairs:
             raise ValueError("--dump-chunk-pairs is only valid with --mode dac")
+        if args.method is None:
+            args.method = PoolingMethod.MP
     return _prepare_align_inputs(args)
 
 
 def _align_run_config(args, command: str) -> RunConfig:
+    mode = getattr(args, "mode", "dac")
+    method = getattr(args, "method", None)
+    noisy = bool(args.noise_src_manifest or args.noise_tgt_manifest)
     return RunConfig(
         command=command,
-        mode=getattr(args, "mode", "dac"),
+        mode=mode,
         src_manifest=args.src_manifest,
         tgt_manifest=args.tgt_manifest,
         src_embeddings=args.src_embeddings,
@@ -397,12 +393,15 @@ def _align_run_config(args, command: str) -> RunConfig:
         noise_tgt_manifest=args.noise_tgt_manifest,
         gold=getattr(args, "gold", None),
         out_dir=args.out_dir,
+        granularity=None if args.granularity is None else str(args.granularity),
+        method=None if method is None else method.name,
         k=args.k,
-        noise_ratio=args.noise_ratio if
-        (args.noise_src_manifest or args.noise_tgt_manifest) else None,
-        noise_seed=args.noise_seed if
-        (args.noise_src_manifest or args.noise_tgt_manifest) else None,
+        threshold=getattr(args, "threshold", None),
+        thresholds=getattr(args, "thresholds", None),
+        noise_ratio=args.noise_ratio if noisy else None,
+        noise_seed=args.noise_seed if noisy else None,
         min_margin=args.min_margin,
+        keep_all=args.keep_all if mode == "dac" else None,
         workers=args.workers,
     )
 
@@ -418,45 +417,29 @@ def _write_report(reports, fmt: str, path: Path) -> None:
 def _run_align(args, ctx) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_echo = _align_run_config(args, "align")
+    _align_run_config(args, "align").write(out_dir)
+    params = MarginParams(k=args.k, min_margin=args.min_margin)
     if args.mode == "dac":
-        granularity = args.granularity or Granularity(1)
-        threshold = DacConfig().threshold if args.threshold is None else args.threshold
-        config = DacConfig(
-            threshold=threshold,
-            granularity=granularity,
-            margin_params=MarginParams(k=args.k, min_margin=args.min_margin),
-        )
-        config_echo.granularity = str(granularity)
-        config_echo.threshold = threshold
-        config_echo.keep_all = args.keep_all
-        config_echo.write(out_dir)
-        pairs, counts_src, counts_tgt = mine_chunk_pairs(
+        pairs, scores = mine_chunk_pairs(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-            config, workers=args.workers,
+            args.granularity, params, args.workers,
         )
         if args.dump_chunk_pairs:
             write_pairs_tsv(pairs, out_dir / "chunk_pairs.tsv")
-        selected = select_pairs(
-            aggregate(pairs, counts_src, counts_tgt), config, one_to_one=not args.keep_all
-        )
+        selected = select_pairs(scores, args.threshold, one_to_one=not args.keep_all)
         write_scores_tsv(selected, out_dir / "pairs.tsv")
         predicted = [(s.src_doc, s.tgt_doc) for s in selected]
-        report_threshold = threshold
     else:
-        method = args.method or PoolingMethod.MP
-        config_echo.method = method.name
-        config_echo.write(out_dir)
         mined = align_documents_pooled(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-            method, MarginParams(k=args.k, min_margin=args.min_margin), workers=args.workers,
+            args.method, params, workers=args.workers,
         )
         write_pairs_tsv(mined, out_dir / "pairs.tsv")
         predicted = [(pair.src_id, pair.tgt_id) for pair in mined]
-        report_threshold = None
     print(f"aligned {len(predicted)} document pairs -> {out_dir / 'pairs.tsv'}")
     if ctx["gold"] is not None:
-        report = score(predicted, ctx["gold"], threshold=report_threshold)
+        # pooled mode has no threshold, so its report carries none
+        report = score(predicted, ctx["gold"], threshold=args.threshold)
         _write_report([report], "tsv", out_dir / "report.tsv")
         print(
             f"precision {report.precision:.6f}, recall {report.recall:.6f}, "
@@ -467,18 +450,11 @@ def _run_align(args, ctx) -> None:
 def _run_sweep(args, ctx) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_echo = _align_run_config(args, "sweep")
-    config_echo.granularity = str(args.granularity)
-    config_echo.thresholds = list(args.thresholds)
-    config_echo.keep_all = args.keep_all
-    config_echo.write(out_dir)
-    params = MarginParams(k=args.k, min_margin=args.min_margin)
-    config = DacConfig(granularity=args.granularity, margin_params=params)
-    pairs, counts_src, counts_tgt = mine_chunk_pairs(
+    _align_run_config(args, "sweep").write(out_dir)
+    _, scores = mine_chunk_pairs(
         ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-        config, workers=args.workers,
+        args.granularity, MarginParams(k=args.k, min_margin=args.min_margin), args.workers,
     )
-    scores = aggregate(pairs, counts_src, counts_tgt)
     reports = sweep_thresholds(scores, ctx["gold"], args.thresholds, one_to_one=not args.keep_all)
     report_path = out_dir / f"reports.{args.format}"
     _write_report(reports, args.format, report_path)

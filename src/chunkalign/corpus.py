@@ -26,6 +26,13 @@ class Document:
     def __post_init__(self) -> None:
         if not self.doc_id:
             raise ValueError("document id must be non-empty")
+        # unit ids, units TSVs, gold and pairs files all carry the doc id in a
+        # tab-separated line where a leading '#' marks a comment
+        if self.doc_id.startswith("#") or any(c in self.doc_id for c in "\t\r\n"):
+            raise ValueError(
+                f"document id {self.doc_id!r} must not start with '#' "
+                "or contain a tab, CR or LF"
+            )
         if not self.sentences:
             raise ValueError(f"document {self.doc_id!r} has no sentences")
         for i, sentence in enumerate(self.sentences):

@@ -45,21 +45,6 @@ class DocPairScore:
             raise ValueError(f"n_aligned {self.n_aligned} out of range for pair {pair}")
         if not 0.0 <= self.dac <= 1.0:
             raise ValueError(f"dac {self.dac} outside [0, 1] for pair {pair}")
-        if self.margin_sum < 0.0:
-            raise ValueError(f"negative margin_sum for pair {pair}")
-
-
-@dataclass(frozen=True)
-class DacConfig:
-    """Knobs for the chunk-based document alignment path."""
-
-    threshold: float = DEFAULT_THRESHOLD
-    granularity: Granularity = Granularity(1)
-    margin_params: MarginParams = MarginParams()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
 
 
 def aggregate(
@@ -101,16 +86,19 @@ def aggregate(
 
 def select_pairs(
     scores: Sequence[DocPairScore],
-    config: DacConfig,
+    threshold: float = DEFAULT_THRESHOLD,
     one_to_one: bool = True,
 ) -> list[DocPairScore]:
     """Keep pairs at or above the threshold; by default greedily enforce one
     match per document, strongest first.
 
-    Candidates are ranked by descending dac, then descending margin_sum, then
-    (src_doc, tgt_doc).  The selection is sorted by (src_doc, tgt_doc).
+    The threshold must lie in [0, 1].  Candidates are ranked by descending
+    dac, then descending margin_sum, then (src_doc, tgt_doc).  The selection
+    is sorted by (src_doc, tgt_doc).
     """
-    surviving = [s for s in scores if s.dac >= config.threshold]
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    surviving = [s for s in scores if s.dac >= threshold]
     surviving.sort(key=lambda s: (-s.dac, -s.margin_sum, s.src_doc, s.tgt_doc))
     if one_to_one:
         taken_src: set[str] = set()
@@ -133,23 +121,27 @@ def mine_chunk_pairs(
     tgt_docs: Sequence[Document],
     src_embeddings: EmbeddingMatrix,
     tgt_embeddings: EmbeddingMatrix,
-    config: DacConfig = DacConfig(),
+    granularity: Granularity = Granularity(1),
+    params: MarginParams = MarginParams(),
     workers: int = 1,
-) -> tuple[list[AlignedUnitPair], dict[str, int], dict[str, int]]:
-    """Segment both corpora and mine chunk pairs globally across them.
+) -> tuple[list[AlignedUnitPair], list[DocPairScore]]:
+    """Segment both corpora, mine chunk pairs globally across them and score
+    every document pair they join.
 
     Mining is global: every source chunk competes against every target chunk,
-    and document pairs only emerge later from where mined chunks concentrate.
-    Returns the mined pairs plus each side's chunks-per-document counts.
+    and document pairs only emerge from where mined chunks concentrate.
+    params.min_margin optionally discards mined chunk pairs below the given
+    margin before aggregation.  Returns the mined pairs and the aggregated
+    document-pair scores.
     """
-    src_units = [unit for doc in src_docs for unit in segment(doc, config.granularity)]
-    tgt_units = [unit for doc in tgt_docs for unit in segment(doc, config.granularity)]
-    counts_src = dict(Counter(unit.doc_id for unit in src_units))
-    counts_tgt = dict(Counter(unit.doc_id for unit in tgt_units))
+    src_units = [unit for doc in src_docs for unit in segment(doc, granularity)]
+    tgt_units = [unit for doc in tgt_docs for unit in segment(doc, granularity)]
     x = src_embeddings.select([unit.unit_id for unit in src_units])
     y = tgt_embeddings.select([unit.unit_id for unit in tgt_units])
-    pairs = mine(x, y, config.margin_params, workers=workers)
-    return pairs, counts_src, counts_tgt
+    pairs = mine(x, y, params, workers=workers)
+    counts_src = Counter(unit.doc_id for unit in src_units)
+    counts_tgt = Counter(unit.doc_id for unit in tgt_units)
+    return pairs, aggregate(pairs, counts_src, counts_tgt)
 
 
 def align_documents_dac(
@@ -157,21 +149,18 @@ def align_documents_dac(
     tgt_docs: Sequence[Document],
     src_embeddings: EmbeddingMatrix,
     tgt_embeddings: EmbeddingMatrix,
-    config: DacConfig = DacConfig(),
+    granularity: Granularity = Granularity(1),
+    params: MarginParams = MarginParams(),
+    threshold: float = DEFAULT_THRESHOLD,
     workers: int = 1,
     one_to_one: bool = True,
 ) -> list[DocPairScore]:
     """Full chunk-based path: mine globally, aggregate per document pair,
-    threshold and select.
-
-    config.margin_params.min_margin optionally discards mined chunk pairs
-    below the given margin before aggregation; by default every mined pair
-    counts and thresholding happens only at the document level.
-    """
-    pairs, counts_src, counts_tgt = mine_chunk_pairs(
-        src_docs, tgt_docs, src_embeddings, tgt_embeddings, config, workers=workers
+    threshold and select."""
+    _, scores = mine_chunk_pairs(
+        src_docs, tgt_docs, src_embeddings, tgt_embeddings, granularity, params, workers
     )
-    return select_pairs(aggregate(pairs, counts_src, counts_tgt), config, one_to_one=one_to_one)
+    return select_pairs(scores, threshold, one_to_one)
 
 
 def write_scores_tsv(scores: Sequence[DocPairScore], path: str | Path) -> None:

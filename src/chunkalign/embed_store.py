@@ -81,6 +81,21 @@ def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(ids=matrix.ids, data=(data64 / norms[:, None]).astype(np.float32))
 
 
+def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> EmbeddingMatrix:
+    """Normalized matrix with one row per id from plain vectors (lists of numbers).
+
+    Vectors of differing lengths are an error naming their source; normalize
+    rejects non-finite and zero rows.
+    """
+    try:
+        data = np.asarray(vectors, dtype=np.float32)
+    except ValueError:
+        data = None
+    if data is None or data.ndim != 2:
+        raise ValueError(f"{source} vectors have differing dimensions")
+    return normalize(EmbeddingMatrix(ids=list(ids), data=data))
+
+
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write the binary matrix file: header, id table, float32 payload.
 
@@ -167,13 +182,7 @@ def fetch_vectors(
                 f"embedding service returned {len(vectors)} vectors for {len(batch)} texts"
             )
         rows.extend(vectors)
-    try:
-        data = np.asarray(rows, dtype=np.float32)
-    except ValueError:
-        raise ValueError("embedding service returned vectors of differing dimensions") from None
-    if data.ndim != 2:
-        raise ValueError("embedding service returned vectors of differing dimensions")
-    return normalize(EmbeddingMatrix(ids=list(ids), data=data))
+    return matrix_from_vectors(ids, rows, "embedding service")
 
 
 def _post_batch(endpoint: str, batch: list[str], attempts: int, retry_wait: float, timeout: float):

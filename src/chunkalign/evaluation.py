@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .corpus import Document
-from .dac import DacConfig, DocPairScore, select_pairs
+from .dac import DocPairScore, select_pairs
 
 
 @dataclass(frozen=True)
@@ -171,17 +171,14 @@ def sweep_thresholds(
 ) -> list[EvalReport]:
     """Re-select and re-score the same candidate list at each threshold.
 
-    Thresholds must be sorted ascending and lie in [0, 1]; an empty list
-    yields an empty report list.
+    Thresholds must be sorted ascending and lie in [0, 1] (select_pairs
+    checks the range); an empty list yields an empty report list.
     """
-    for i, threshold in enumerate(thresholds):
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold {threshold} outside [0, 1]")
-        if i and threshold < thresholds[i - 1]:
-            raise ValueError("thresholds must be sorted ascending")
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
     reports = []
     for threshold in thresholds:
-        selected = select_pairs(scores, DacConfig(threshold=threshold), one_to_one=one_to_one)
+        selected = select_pairs(scores, threshold, one_to_one)
         predicted = [(s.src_doc, s.tgt_doc) for s in selected]
         reports.append(score(predicted, gold, threshold=threshold))
     return reports

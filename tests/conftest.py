@@ -37,6 +37,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
                 vectors.append([float("nan")] * 8)
             elif text == state.get("zero_text"):
                 vectors.append([0.0] * 8)
+            elif text == state.get("short_text"):
+                vectors.append(vector_for_text(text, dim=7))
             else:
                 vectors.append(vector_for_text(text))
         if state.get("drop_one"):
@@ -56,7 +58,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 def embed_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     # fail_remaining: answer that many requests with fail_status and no body;
-    # bad_body: answer 200 with a body that is not JSON
+    # bad_body: answer 200 with a body that is not JSON; nan_text, zero_text
+    # and short_text: answer that text with a NaN, zero or 7-dimensional vector
     server.state = {"requests": 0, "fail_remaining": 0, "fail_status": 500, "bad_body": False}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -15,9 +15,7 @@ import pytest
 
 from chunkalign.corpus import Document, Granularity, segment
 from chunkalign.dac import (
-    DacConfig,
     DocPairScore,
-    aggregate,
     align_documents_dac,
     compute_dac,
     mine_chunk_pairs,
@@ -118,9 +116,8 @@ def test_04_planted_corpus_recovery(capsys):
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
             n_pairs=100, chunks_per_doc=5, n_noise=50, perturbation=0.04)
 
-        config = DacConfig(threshold=0.1, granularity=Granularity(1),
-                           margin_params=MarginParams(k=16))
-        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(1),
+                                     MarginParams(k=16), threshold=0.1)
         dac_report = score([(s.src_doc, s.tgt_doc) for s in chosen], gold)
         assert dac_report.precision == 1.0
         assert dac_report.recall == 1.0
@@ -137,10 +134,8 @@ def test_05_threshold_sweep_shape(capsys):
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
             n_pairs=40, chunks_per_doc=3, n_noise=15,
             perturbation=0.5, replace_frac=0.3, orthogonal_noise=False, dim=64)
-        pairs, counts_src, counts_tgt = mine_chunk_pairs(
-            src_docs, tgt_docs, src_emb, tgt_emb,
-            DacConfig(margin_params=MarginParams(k=8)))
-        scores = aggregate(pairs, counts_src, counts_tgt)
+        _, scores = mine_chunk_pairs(
+            src_docs, tgt_docs, src_emb, tgt_emb, params=MarginParams(k=8))
         thresholds = [round(0.1 * i, 1) for i in range(11)]
         reports = sweep_thresholds(scores, gold, thresholds)
         by_threshold = {r.threshold: r for r in reports}
@@ -254,14 +249,11 @@ def test_08_one_to_one_selection(capsys):
                                            compute_dac(n_s, n_t, n_a),
                                            float(rng.random()))
             threshold = float(rng.choice([0.0, 0.1, 0.3, 0.6]))
-            chosen = select_pairs(list(scores.values()),
-                                  DacConfig(threshold=threshold))
+            chosen = select_pairs(list(scores.values()), threshold)
             assert len({s.src_doc for s in chosen}) == len(chosen)
             assert len({s.tgt_doc for s in chosen}) == len(chosen)
             assert all(s.dac >= threshold for s in chosen)
-            kept_all = select_pairs(list(scores.values()),
-                                    DacConfig(threshold=threshold),
-                                    one_to_one=False)
+            kept_all = select_pairs(list(scores.values()), threshold, one_to_one=False)
             assert {(s.src_doc, s.tgt_doc) for s in chosen} <= \
                 {(s.src_doc, s.tgt_doc) for s in kept_all}
 

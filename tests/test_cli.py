@@ -121,6 +121,19 @@ class TestSegment:
         assert code == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc_id", ["#a", "b\tc", "d\re", "f\ng"])
+    def test_doc_id_that_breaks_units_tsv_is_usage_error(self, tmp_path, capsys, doc_id):
+        # such an id would come back from the units file as a comment or split at the tab
+        (tmp_path / "doc.txt").write_text("one\ntwo\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({"doc_id": doc_id, "lang": "en", "path": "doc.txt"})
+                            + "\n", encoding="utf-8")
+        out = tmp_path / "units.tsv"
+        code = run_cli(["segment", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 1
+        assert f"document id {doc_id!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAlignDac:
     def test_planted_corpus_aligned_perfectly(self, aligned_setup, capsys):
@@ -535,6 +548,8 @@ class TestImportCommand:
         assert code == 1
         assert "no vector for unit 'a#1'" in capsys.readouterr().err
 
+    # vectors are checked before anything is written, so bad ones are
+    # invalid input (exit 1) like a missing one
     def test_ragged_vectors_runtime_error(self, tmp_path, capsys):
         units, vec_path = self.write_inputs(tmp_path, [
             {"unit_id": "a#0", "vector": [1.0, 0.0]},
@@ -542,7 +557,7 @@ class TestImportCommand:
         ])
         code = run_cli(["import-embeddings", "--units", str(units),
                         "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")])
-        assert code == 2
+        assert code == 1
         assert "differing dimensions" in capsys.readouterr().err
 
     def test_nan_vector_runtime_error(self, tmp_path, capsys):
@@ -552,8 +567,8 @@ class TestImportCommand:
         ])
         code = run_cli(["import-embeddings", "--units", str(units),
                         "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")])
-        assert code == 2
-        assert "non-finite vector for unit 'a#1'" in capsys.readouterr().err
+        assert code == 1
+        assert "non-finite embedding for id 'a#1'" in capsys.readouterr().err
 
 
 class TestPoolCommand:

@@ -190,3 +190,9 @@ class TestDocument:
     def test_blank_sentence_rejected(self):
         with pytest.raises(ValueError, match="blank sentence"):
             Document(doc_id="d", lang="en", sentences=("ok", "  "))
+
+    @pytest.mark.parametrize("doc_id", ["#a", "#", "b\tc", "d\re", "f\ng", "tail\n"])
+    def test_doc_id_that_cannot_round_trip_rejected(self, doc_id):
+        with pytest.raises(ValueError) as excinfo:
+            Document(doc_id=doc_id, lang="en", sentences=("ok",))
+        assert f"document id {doc_id!r}" in str(excinfo.value)

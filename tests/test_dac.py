@@ -5,7 +5,7 @@ import pytest
 
 from chunkalign.corpus import Granularity
 from chunkalign.dac import (
-    DacConfig,
+    DEFAULT_THRESHOLD,
     DocPairScore,
     aggregate,
     align_documents_dac,
@@ -50,19 +50,20 @@ class TestDocPairScore:
             DocPairScore("a", "b", 3, 3, 4, 1.0, 0.0)
         with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
             DocPairScore("a", "b", 3, 3, 3, 1.5, 0.0)
-        with pytest.raises(ValueError, match="negative margin_sum"):
-            DocPairScore("a", "b", 3, 3, 3, 1.0, -0.1)
 
 
-class TestDacConfig:
+class TestSelectPairsThreshold:
     def test_threshold_range(self):
-        DacConfig(threshold=0.0)
-        DacConfig(threshold=1.0)
-        with pytest.raises(ValueError, match="threshold must be in"):
-            DacConfig(threshold=1.5)
+        select_pairs([], 0.0)
+        select_pairs([], 1.0)
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError, match=f"threshold {bad} outside \\[0, 1\\]"):
+                select_pairs([score("A", "B", 0.8)], bad)
 
     def test_default_threshold(self):
-        assert DacConfig().threshold == 0.1
+        assert DEFAULT_THRESHOLD == 0.1
+        scores = [score("A", "B", 0.1), score("C", "D", 0.05)]
+        assert [(s.src_doc, s.tgt_doc) for s in select_pairs(scores)] == [("A", "B")]
 
 
 class TestAggregate:
@@ -114,6 +115,17 @@ class TestAggregate:
         scores = aggregate(pairs, {"z": 1, "a": 1}, {"t": 2})
         assert [(s.src_doc, s.tgt_doc) for s in scores] == [("a", "t"), ("z", "t")]
 
+    def test_negative_margins_aggregate(self):
+        # a chunk pair of opposed vectors has a negative cosine, and so a
+        # negative margin; greedy matching still accepts it when both ends are free
+        pairs = [
+            AlignedUnitPair("A#0", "B#0", -0.4, -0.8),
+            AlignedUnitPair("A#1", "B#1", 0.2, 0.5),
+        ]
+        (s,) = aggregate(pairs, {"A": 2}, {"B": 2})
+        assert s.n_aligned == 2
+        assert s.margin_sum == pytest.approx(-0.3, abs=1e-12)
+
 
 class TestSelectPairs:
     def test_greedy_trace(self):
@@ -122,17 +134,17 @@ class TestSelectPairs:
             score("A", "C", 0.5),
             score("D", "C", 0.4),
         ]
-        chosen = select_pairs(scores, DacConfig(threshold=0.1))
+        chosen = select_pairs(scores, 0.1)
         assert [(s.src_doc, s.tgt_doc) for s in chosen] == [("A", "B"), ("D", "C")]
 
     def test_threshold_filters(self):
         scores = [score("A", "B", 0.8), score("C", "D", 0.2)]
-        chosen = select_pairs(scores, DacConfig(threshold=0.5))
+        chosen = select_pairs(scores, 0.5)
         assert [(s.src_doc, s.tgt_doc) for s in chosen] == [("A", "B")]
 
     def test_threshold_boundary_inclusive(self):
         scores = [score("A", "B", 1.0)]
-        chosen = select_pairs(scores, DacConfig(threshold=1.0))
+        chosen = select_pairs(scores, 1.0)
         assert len(chosen) == 1
 
     def test_keep_all_mode(self):
@@ -141,7 +153,7 @@ class TestSelectPairs:
             score("A", "C", 0.5),
             score("D", "C", 0.4),
         ]
-        chosen = select_pairs(scores, DacConfig(threshold=0.1), one_to_one=False)
+        chosen = select_pairs(scores, 0.1, one_to_one=False)
         assert len(chosen) == 3
 
     def test_margin_sum_breaks_dac_ties(self):
@@ -149,7 +161,7 @@ class TestSelectPairs:
             score("A", "weak", 0.6, margin_sum=1.0),
             score("A", "strong", 0.6, margin_sum=9.0),
         ]
-        chosen = select_pairs(scores, DacConfig(threshold=0.1))
+        chosen = select_pairs(scores, 0.1)
         assert [(s.src_doc, s.tgt_doc) for s in chosen] == [("A", "strong")]
 
     def test_lexicographic_final_tie_break(self):
@@ -157,11 +169,11 @@ class TestSelectPairs:
             score("A", "zz", 0.6, margin_sum=2.0),
             score("A", "bb", 0.6, margin_sum=2.0),
         ]
-        chosen = select_pairs(scores, DacConfig(threshold=0.1))
+        chosen = select_pairs(scores, 0.1)
         assert [(s.src_doc, s.tgt_doc) for s in chosen] == [("A", "bb")]
 
     def test_empty_input(self):
-        assert select_pairs([], DacConfig()) == []
+        assert select_pairs([]) == []
 
     def test_yield_non_increasing_in_threshold(self):
         rng = np.random.default_rng(1234)
@@ -181,7 +193,7 @@ class TestSelectPairs:
             scores = list(seen.values())
             previous = None
             for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-                count = len(select_pairs(scores, DacConfig(threshold=threshold)))
+                count = len(select_pairs(scores, threshold))
                 if previous is not None:
                     assert count <= previous
                 previous = count
@@ -191,9 +203,8 @@ class TestAlignDocumentsDac:
     def test_planted_corpus_fully_recovered(self):
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
             n_pairs=20, chunks_per_doc=3, n_noise=10)
-        config = DacConfig(threshold=0.1, granularity=Granularity(1),
-                           margin_params=MarginParams(k=8))
-        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(1),
+                                     MarginParams(k=8), threshold=0.1)
         assert {(s.src_doc, s.tgt_doc) for s in chosen} == gold.pairs
         assert all(s.dac == 1.0 for s in chosen)
         assert all(s.n_aligned == 3 for s in chosen)
@@ -201,19 +212,19 @@ class TestAlignDocumentsDac:
     def test_min_margin_floor_can_empty_the_result(self):
         src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
             n_pairs=5, chunks_per_doc=2, n_noise=0)
-        config = DacConfig(threshold=0.1, margin_params=MarginParams(k=4, min_margin=1e9))
-        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb,
+                                     params=MarginParams(k=4, min_margin=1e9), threshold=0.1)
         assert chosen == []
 
     def test_mine_chunk_pairs_counts(self):
         src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
             n_pairs=4, chunks_per_doc=3, n_noise=2)
-        pairs, counts_src, counts_tgt = mine_chunk_pairs(
-            src_docs, tgt_docs, src_emb, tgt_emb,
-            DacConfig(margin_params=MarginParams(k=4)))
-        assert all(count == 3 for count in counts_src.values())
-        assert len(counts_src) == len(src_docs)
-        assert len(counts_tgt) == len(tgt_docs)
+        pairs, scores = mine_chunk_pairs(
+            src_docs, tgt_docs, src_emb, tgt_emb, params=MarginParams(k=4))
+        assert all(s.n_src == s.n_tgt == 3 for s in scores)
+        assert {s.src_doc for s in scores} <= {doc.doc_id for doc in src_docs}
+        assert {s.tgt_doc for s in scores} <= {doc.doc_id for doc in tgt_docs}
+        assert sum(s.n_aligned for s in scores) == len(pairs)
         assert pairs
 
     def test_missing_embedding_raises_keyerror(self):
@@ -222,14 +233,13 @@ class TestAlignDocumentsDac:
         truncated = EmbeddingMatrix(ids=src_emb.ids[:-1], data=src_emb.data[:-1])
         with pytest.raises(KeyError, match="no embedding for id"):
             align_documents_dac(src_docs, tgt_docs, truncated, tgt_emb,
-                                DacConfig(margin_params=MarginParams(k=2)))
+                                params=MarginParams(k=2))
 
     def test_granularity_two_still_recovers(self):
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
             n_pairs=6, chunks_per_doc=4, n_noise=0, granularity=2)
-        config = DacConfig(threshold=0.1, granularity=Granularity(2),
-                           margin_params=MarginParams(k=4))
-        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, config)
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(2),
+                                     MarginParams(k=4), threshold=0.1)
         assert {(s.src_doc, s.tgt_doc) for s in chosen} == gold.pairs
 
 

@@ -249,6 +249,15 @@ class TestFetch:
         with pytest.raises(ValueError, match="zero-norm embedding for id 'z#0'"):
             fetch_vectors(["a#0", "z#0"], ["fine", "void"], url)
 
+    # a short vector in the same batch as a full one, or in a batch of its own
+    @pytest.mark.parametrize("batch_size, requests", [(32, 1), (1, 2)])
+    def test_ragged_vectors_rejected(self, embed_server, batch_size, requests):
+        url, state = embed_server
+        state["short_text"] = "stub"
+        with pytest.raises(ValueError, match="embedding service vectors have differing dimensions"):
+            fetch_vectors(["a#0", "s#0"], ["fine", "stub"], url, batch_size=batch_size)
+        assert state["requests"] == requests
+
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):
             fetch_vectors([], [], "http://unused.invalid")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunkalign.corpus import Granularity
-from chunkalign.dac import DacConfig, align_documents_dac
+from chunkalign.dac import align_documents_dac
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import MarginParams
 from chunkalign.pooled import align_documents_pooled, pool_corpus
@@ -68,9 +68,8 @@ class TestAlignDocumentsPooled:
         pooled_pairs = align_documents_pooled(src_docs, tgt_docs, src_emb, tgt_emb,
                                               PoolingMethod.MP, MarginParams(k=4))
         dac_scores = align_documents_dac(
-            src_docs, tgt_docs, src_emb, tgt_emb,
-            DacConfig(threshold=0.0, granularity=Granularity(1),
-                      margin_params=MarginParams(k=4)))
+            src_docs, tgt_docs, src_emb, tgt_emb, Granularity(1), MarginParams(k=4),
+            threshold=0.0)
         pooled_set = {(p.src_id, p.tgt_id) for p in pooled_pairs}
         dac_set = {(s.src_doc, s.tgt_doc) for s in dac_scores}
         assert pooled_set == dac_set
