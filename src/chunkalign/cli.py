@@ -274,7 +274,7 @@ def _prepare_import(args) -> dict:
     if not units:
         raise ValueError(f"units file {args.units} is empty")
     vectors: dict[str, list] = {}
-    with open(args.vectors, encoding="utf-8") as handle:
+    with open(args.vectors, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -79,16 +79,18 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
     """Load the documents listed in a JSON-lines manifest.
 
     Each manifest line is an object with doc_id, lang and path; relative paths
-    are resolved against the manifest's directory.  Sentence files are UTF-8
-    with one sentence per line (LF or CRLF); blank lines are dropped and the
-    remaining lines are trimmed.
+    are resolved against the manifest's directory.  Sentence files are UTF-8,
+    with or without a BOM, and hold one sentence per line; a line ends at LF,
+    CRLF or CR only, so other Unicode line breaks (U+2028, NEL, ...) stay
+    inside their sentence.  Blank lines are dropped and the remaining lines
+    are trimmed.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     documents: list[Document] = []
     seen: set[str] = set()
-    with open(manifest_path, encoding="utf-8") as handle:
+    with open(manifest_path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -107,7 +109,8 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
                 raise FileNotFoundError(f"sentence file for doc {doc_id!r} not found: {path}")
             sentences = tuple(
                 stripped
-                for raw in path.read_text(encoding="utf-8").splitlines()
+                # read_text turns CRLF and CR into LF; splitlines would split more
+                for raw in path.read_text(encoding="utf-8-sig").split("\n")
                 if (stripped := raw.strip())
             )
             if not sentences:
@@ -168,7 +171,7 @@ def read_units_tsv(path: str | Path) -> list[tuple[str, str]]:
     """
     rows: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):

@@ -17,6 +17,8 @@ MAGIC = b"DEMB"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")
 _ID_LEN = struct.Struct("<I")
+# the types json.loads gives numbers; bool, a subclass of int, is left out
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(eq=False)
@@ -84,16 +86,19 @@ def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> EmbeddingMatrix:
     """Normalized matrix with one row per id from plain vectors (lists of numbers).
 
-    Vectors of differing lengths are an error naming their source; normalize
-    rejects non-finite and zero rows.
+    A vector that is not a list of ints and floats (JSON true and false are
+    not numbers) is an error naming its id, and vectors of differing lengths
+    one naming their source; normalize rejects non-finite and zero rows.
     """
-    try:
-        data = np.asarray(vectors, dtype=np.float32)
-    except ValueError:
-        data = None
-    if data is None or data.ndim != 2:
-        raise ValueError(f"{source} vectors have differing dimensions")
-    return normalize(EmbeddingMatrix(ids=list(ids), data=data))
+    width = None
+    for unit_id, vector in zip(ids, vectors):
+        if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
+            raise ValueError(f"{source} vector for id {unit_id!r} is not a list of numbers")
+        if width is None:
+            width = len(vector)
+        elif len(vector) != width:
+            raise ValueError(f"{source} vectors have differing dimensions")
+    return normalize(EmbeddingMatrix(ids=list(ids), data=np.asarray(vectors, dtype=np.float32)))
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -161,8 +166,9 @@ def fetch_vectors(
     The service takes POST {"texts": [...]} and answers {"vectors": [[...],
     ...]}.  Transport failures (connection errors, timeouts, 429, 5xx) are
     retried with exponential backoff; contract violations (other 4xx, a body
-    that is not JSON, wrong count, ragged or non-finite vectors) fail
-    immediately.  Rows are normalized before the matrix is returned.
+    that is not JSON, wrong count, a vector that is not a list of numbers,
+    ragged or non-finite vectors) fail immediately.  Rows are normalized
+    before the matrix is returned.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")

@@ -42,7 +42,7 @@ class GoldSet:
 def load_gold(path: str | Path) -> GoldSet:
     """Read a gold TSV of src_doc<TAB>tgt_doc rows; '#' lines are comments."""
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):
@@ -58,7 +58,7 @@ def load_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Read predicted pairs from a TSV, taking the first two columns of each row."""
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):

@@ -87,7 +87,9 @@ def margin_scores(
     avg_tgt = bwd_scores.mean(axis=1)
 
     # candidates in forward-then-backward order, each pair kept once at its
-    # first occurrence, so the result keeps that order
+    # first occurrence, so the result keeps that order; a pair found in both
+    # directions keeps its forward cosine, which may differ from the backward
+    # one (a separate GEMM) in the last ulp
     n, m = len(x), len(y)
     src = np.concatenate([np.repeat(np.arange(n), fwd_rows.shape[1]), bwd_rows.ravel()])
     tgt = np.concatenate([fwd_rows.ravel(), np.repeat(np.arange(m), bwd_rows.shape[1])])

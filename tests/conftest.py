@@ -33,7 +33,9 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         texts = json.loads(self.rfile.read(length))["texts"]
         vectors = []
         for text in texts:
-            if text == state.get("nan_text"):
+            if text in state.get("raw_vectors", {}):
+                vectors.append(state["raw_vectors"][text])
+            elif text == state.get("nan_text"):
                 vectors.append([float("nan")] * 8)
             elif text == state.get("zero_text"):
                 vectors.append([0.0] * 8)
@@ -59,7 +61,8 @@ def embed_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     # fail_remaining: answer that many requests with fail_status and no body;
     # bad_body: answer 200 with a body that is not JSON; nan_text, zero_text
-    # and short_text: answer that text with a NaN, zero or 7-dimensional vector
+    # and short_text: answer that text with a NaN, zero or 7-dimensional vector;
+    # raw_vectors: answer each text it maps with the value it maps it to
     server.state = {"requests": 0, "fail_remaining": 0, "fail_status": 500, "bad_body": False}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

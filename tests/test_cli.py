@@ -560,6 +560,18 @@ class TestImportCommand:
         assert code == 1
         assert "differing dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vector", [["x", 1.0], 1.0, [True, False]])
+    def test_non_number_vector_usage_error(self, tmp_path, capsys, vector):
+        units, vec_path = self.write_inputs(tmp_path, [
+            {"unit_id": "a#0", "vector": [1.0, 0.0]},
+            {"unit_id": "a#1", "vector": vector},
+        ])
+        code = run_cli(["import-embeddings", "--units", str(units),
+                        "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")])
+        assert code == 1
+        assert "imported vector for id 'a#1' is not a list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "m.demb").exists()
+
     def test_nan_vector_runtime_error(self, tmp_path, capsys):
         units, vec_path = self.write_inputs(tmp_path, [
             {"unit_id": "a#0", "vector": [1.0, 0.0]},

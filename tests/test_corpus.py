@@ -42,6 +42,19 @@ class TestLoadCorpus:
         (doc,) = load_corpus(manifest)
         assert doc.sentences == ("one", "two", "three")
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_only_lf_cr_and_crlf_end_a_sentence(self, tmp_path, separator):
+        text = f"first line{separator}still first\r\nsecond\rthird\n"
+        (doc,) = load_corpus(write_manifest(tmp_path, [("d", "en", text)]))
+        assert doc.sentences == (f"first line{separator}still first", "second", "third")
+
+    def test_byte_order_marks_skipped(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("d", "en", "\ufeffone\ntwo\n")])
+        manifest.write_text("\ufeff" + manifest.read_text(encoding="utf-8"), encoding="utf-8")
+        (doc,) = load_corpus(manifest)
+        assert doc.doc_id == "d"
+        assert doc.sentences == ("one", "two")
+
     def test_duplicate_doc_id_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path, [("d", "en", "x\n")])
         line = manifest.read_text().strip()
@@ -167,6 +180,11 @@ class TestUnitsTsv:
     def test_header_and_comments_skipped(self, tmp_path):
         path = tmp_path / "units.tsv"
         path.write_text("# unit_id\ttext\nd#0\thello\n# trailing note\n", encoding="utf-8")
+        assert read_units_tsv(path) == [("d#0", "hello")]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "units.tsv"
+        path.write_text("\ufeff# unit_id\ttext\nd#0\thello\n", encoding="utf-8")
         assert read_units_tsv(path) == [("d#0", "hello")]
 
     def test_duplicate_unit_id_rejected(self, tmp_path):

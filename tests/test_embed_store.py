@@ -258,6 +258,14 @@ class TestFetch:
             fetch_vectors(["a#0", "s#0"], ["fine", "stub"], url, batch_size=batch_size)
         assert state["requests"] == requests
 
+    @pytest.mark.parametrize("vector", [["x", 1.0], 1.0, [True, False]])
+    def test_non_number_vector_names_unit(self, embed_server, vector):
+        url, state = embed_server
+        state["raw_vectors"] = {"odd": vector}
+        with pytest.raises(ValueError, match="vector for id 'o#1' is not a list of numbers"):
+            fetch_vectors(["a#0", "o#1"], ["fine", "odd"], url, retry_wait=0.01)
+        assert state["requests"] == 1
+
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):
             fetch_vectors([], [], "http://unused.invalid")

@@ -50,6 +50,14 @@ class TestLoaders:
         gold = load_gold(path)
         assert gold.pairs == {("a", "b"), ("c", "d")}
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        gold_path, pairs_path = tmp_path / "gold.tsv", tmp_path / "pairs.tsv"
+        gold_path.write_text("\ufeffa\tb\nc\td\n", encoding="utf-8")
+        pairs_path.write_text("\ufeffa\tb\t0.9\n", encoding="utf-8")
+        gold = load_gold(gold_path)
+        assert gold.pairs == {("a", "b"), ("c", "d")}
+        assert load_pairs(pairs_path) == [("a", "b")]
+
     def test_load_gold_malformed_row(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("only_one_column\n", encoding="utf-8")

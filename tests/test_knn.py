@@ -144,6 +144,14 @@ class TestSearchArrays:
         with pytest.raises(ValueError, match="block_size must be >= 1"):
             search_arrays(index, q, k=1, block_size=0)
 
+    def test_zero_queries(self):
+        index = build(unit_matrix(["a", "b", "c"], np.eye(3)))
+        (scores, rows), (back_scores, back_rows) = search_arrays(
+            index, np.empty((0, 3), dtype=np.float32), k=2)
+        assert scores.shape == rows.shape == (0, 2)
+        assert back_scores.shape == back_rows.shape == (3, 0)
+        assert rows.dtype == back_rows.dtype == np.int64
+
     def test_scores_sorted_descending(self):
         rng = np.random.default_rng(3)
         base = random_unit_matrix(rng, 40, 8)
@@ -159,13 +167,6 @@ class TestTopK:
         values, cols = top_k(scores, 3)
         np.testing.assert_array_equal(cols, [[1, 3, 0]])
         np.testing.assert_array_equal(values, [[0.9, 0.9, 0.5]])
-
-    def test_ties_break_by_label(self):
-        scores = np.array([[0.5, 0.5, 0.5, 0.2]])
-        labels = np.array([[7, 3, 5, 0]])
-        values, got = top_k(scores, 2, labels)
-        np.testing.assert_array_equal(got, [[3, 5]])
-        np.testing.assert_array_equal(values, [[0.5, 0.5]])
 
     def test_full_depth_is_a_sort(self):
         scores = np.array([[0.1, -0.3, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0]])
