@@ -120,11 +120,16 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
     return documents
 
 
+def make_unit_id(doc_id: str, chunk_index: int) -> str:
+    """The id of a document's chunk: "<doc_id>#<chunk_index>"."""
+    return f"{doc_id}#{chunk_index}"
+
+
 def segment(doc: Document, g: Granularity) -> list[ChunkUnit]:
     """Split a document into consecutive chunks of g.sentences sentences.
 
     The final chunk keeps whatever remains, so it may be shorter.  Unit ids
-    are "<doc_id>#<chunk_index>" with chunk indices counted from zero.
+    come from make_unit_id, with chunk indices counted from zero.
     """
     size = g.sentences
     units: list[ChunkUnit] = []
@@ -133,7 +138,7 @@ def segment(doc: Document, g: Granularity) -> list[ChunkUnit]:
         text = JOINER.join(group)
         units.append(
             ChunkUnit(
-                unit_id=f"{doc.doc_id}#{index}",
+                unit_id=make_unit_id(doc.doc_id, index),
                 doc_id=doc.doc_id,
                 chunk_index=index,
                 text=text,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -19,6 +20,9 @@ _HEADER = struct.Struct("<4sHIQ")
 _ID_LEN = struct.Struct("<I")
 # the types json.loads gives numbers; bool, a subclass of int, is left out
 _NUMBER_TYPES = {int, float}
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# rows per float64 block in normalize
+_NORMALIZE_BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -70,25 +74,38 @@ class EmbeddingMatrix:
 
 
 def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm; a non-finite or zero row is an error naming its id."""
-    data64 = matrix.data.astype(np.float64)
-    # float32 values cannot overflow a float64 norm: it is finite iff the row is.
-    norms = np.linalg.norm(data64, axis=1)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ValueError(f"non-finite embedding for id {matrix.ids[int(bad[0])]!r}")
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm embedding for id {matrix.ids[int(zero[0])]!r}")
-    return EmbeddingMatrix(ids=matrix.ids, data=(data64 / norms[:, None]).astype(np.float32))
+    """Scale every row to unit L2 norm; a non-finite or zero row is an error naming its id.
+
+    Rows go through float64 one block at a time, so no float64 copy of the
+    whole matrix is made; the first non-finite row anywhere is reported
+    before the first zero row.
+    """
+    out = np.empty_like(matrix.data)
+    first_zero = None
+    for start in range(0, len(matrix), _NORMALIZE_BLOCK_ROWS):
+        block = matrix.data[start:start + _NORMALIZE_BLOCK_ROWS].astype(np.float64)
+        # float32 values cannot overflow a float64 norm: it is finite iff the row is.
+        norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(f"non-finite embedding for id {matrix.ids[start + int(bad[0])]!r}")
+        zero = np.flatnonzero(norms == 0.0)
+        if first_zero is None and zero.size:
+            first_zero = start + int(zero[0])
+        if first_zero is None:
+            out[start:start + len(block)] = block / norms[:, None]
+    if first_zero is not None:
+        raise ValueError(f"zero-norm embedding for id {matrix.ids[first_zero]!r}")
+    return EmbeddingMatrix(ids=matrix.ids, data=out)
 
 
 def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> EmbeddingMatrix:
     """Normalized matrix with one row per id from plain vectors (lists of numbers).
 
     A vector that is not a list of ints and floats (JSON true and false are
-    not numbers) is an error naming its id, and vectors of differing lengths
-    one naming their source; normalize rejects non-finite and zero rows.
+    not numbers) or one holding a finite value beyond the float32 range is an
+    error naming its id, and vectors of differing lengths one naming their
+    source; normalize rejects non-finite and zero rows.
     """
     width = None
     for unit_id, vector in zip(ids, vectors):
@@ -98,7 +115,18 @@ def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> E
             width = len(vector)
         elif len(vector) != width:
             raise ValueError(f"{source} vectors have differing dimensions")
-    return normalize(EmbeddingMatrix(ids=list(ids), data=np.asarray(vectors, dtype=np.float32)))
+    try:
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, found below
+            data = np.asarray(vectors, dtype=np.float32)
+        suspects = np.flatnonzero(~np.isfinite(data).all(axis=-1))
+    except OverflowError:  # an int too large for any float
+        suspects = range(len(vectors))
+    for row in suspects:
+        if any(_FLOAT32_MAX < abs(value) < math.inf for value in vectors[row]):
+            raise ValueError(
+                f"{source} vector for id {ids[row]!r} has a value outside the float32 range"
+            )
+    return normalize(EmbeddingMatrix(ids=list(ids), data=data))
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:

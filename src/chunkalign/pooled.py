@@ -6,10 +6,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Granularity, segment
+from .corpus import Document, make_unit_id
 from .embed_store import EmbeddingMatrix
 from .miner import AlignedUnitPair, MarginParams, mine
-from .pooling import IdfTable, PoolingMethod, build_idf, pool_document
+from .pooling import IdfTable, PoolingMethod, build_idf, pool_rows, unit_weights
 
 
 def pool_corpus(
@@ -18,21 +18,23 @@ def pool_corpus(
     method: PoolingMethod,
     idf: IdfTable | None = None,
 ) -> EmbeddingMatrix:
-    """One pooled row per document, ids = doc ids.
+    """One pooled row per document, ids = doc ids, each as pool_document pools it.
 
-    Units are single sentences; unit_embeddings must hold a normalized row for
-    every sentence unit of every document.  When the method needs idf weights
-    and none are passed, they are computed from these documents.
+    unit_embeddings must hold a normalized row for every sentence unit of every
+    document; idf, when the method needs it and none is passed, comes from them.
     """
     if not documents:
         raise ValueError("cannot pool an empty corpus")
     if method.needs_idf and idf is None:
         idf = build_idf(documents)
-    vectors = []
-    for doc in documents:
-        units = segment(doc, Granularity(1))
-        rows = unit_embeddings.select([unit.unit_id for unit in units]).data
-        vectors.append(pool_document(units, rows, method, idf if method.needs_idf else None))
+    ids = [make_unit_id(doc.doc_id, i) for doc in documents for i in range(len(doc.sentences))]
+    rows = unit_embeddings.select(ids).data
+    weights = unit_weights([(s, len(s.split())) for doc in documents for s in doc.sentences],
+                           method, idf)
+    # a document's rows are contiguous, so one split hands each its own
+    cuts = np.cumsum([len(doc.sentences) for doc in documents])[:-1]
+    vectors = [pool_rows(r, w, doc.doc_id, method)
+               for doc, r, w in zip(documents, np.split(rows, cuts), np.split(weights, cuts))]
     return EmbeddingMatrix(ids=[doc.doc_id for doc in documents], data=np.vstack(vectors))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import unicodedata
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ class PoolingMethod(Enum):
 
 
 def tokenize(text: str) -> list[str]:
-    """Whitespace tokens, NFC-normalized, case preserved."""
-    return [unicodedata.normalize("NFC", token) for token in text.split()]
+    """Whitespace tokens, NFC-normalized, case preserved; one NFC pass equals one per token."""
+    return unicodedata.normalize("NFC", text).split()
 
 
 @dataclass(frozen=True)
@@ -66,52 +67,34 @@ def build_idf(documents: Sequence[Document]) -> IdfTable:
         raise ValueError("cannot build an idf table from an empty document list")
     df: dict[str, int] = {}
     for doc in documents:
-        seen: set[str] = set()
-        for sentence in doc.sentences:
-            seen.update(tokenize(sentence))
-        for token in seen:
+        for token in {token for sentence in doc.sentences for token in tokenize(sentence)}:
             df[token] = df.get(token, 0) + 1
     return IdfTable(doc_count=len(documents), df=df)
 
 
-def _unit_weight(unit: ChunkUnit, method: PoolingMethod, idf: IdfTable | None) -> float:
-    if method is PoolingMethod.MP:
-        return 1.0
-    if method is PoolingMethod.LP:
-        return float(unit.token_count)
-    tokens = tokenize(unit.text)
-    if not tokens:
-        return 0.0
-    mean_idf = sum(idf.idf(token) for token in tokens) / len(tokens)
-    if method is PoolingMethod.IDF:
-        return mean_idf
-    return float(unit.token_count) * mean_idf
-
-
-def pool_document(
-    units: Sequence[ChunkUnit],
-    rows: np.ndarray,
-    method: PoolingMethod,
-    idf: IdfTable | None = None,
+def unit_weights(
+    units: Sequence[tuple[str, int]], method: PoolingMethod, idf: IdfTable | None
 ) -> np.ndarray:
-    """L2-normalized weighted mean of the unit rows, as a float32 vector.
+    """Float64 weights of units given as (text, token count); no tokens, no idf weight."""
+    if method.needs_idf != (idf is not None):
+        rule = "requires" if method.needs_idf else "does not take"
+        raise ValueError(f"{method.name} pooling {rule} an idf table")
+    idf_of = functools.cache(idf.idf) if idf is not None else None  # once per distinct token
+    weights = []
+    for text, count in units:
+        weight = float(count) if method in (PoolingMethod.LP, PoolingMethod.LIDF) else 1.0
+        if idf_of is not None:
+            tokens = tokenize(text)
+            # Python's sum in token order: np.sum or reduceat would round differently
+            weight *= sum(map(idf_of, tokens)) / len(tokens) if tokens else 0.0
+        weights.append(weight)
+    return np.array(weights, dtype=np.float64)
 
-    rows[i] must be the normalized embedding of units[i].  Units with zero
-    tokens get weight zero under the token-driven methods; if every weight is
-    zero, or the weighted sum cancels exactly, that is an error naming the
-    document.
-    """
-    if not units:
-        raise ValueError("cannot pool a document with no units")
-    rows = np.asarray(rows, dtype=np.float32)
-    if rows.ndim != 2 or rows.shape[0] != len(units):
-        raise ValueError(f"expected {len(units)} embedding rows, got shape {rows.shape}")
-    if method.needs_idf and idf is None:
-        raise ValueError(f"{method.name} pooling requires an idf table")
-    if not method.needs_idf and idf is not None:
-        raise ValueError(f"{method.name} pooling does not take an idf table")
-    doc_id = units[0].doc_id
-    weights = np.array([_unit_weight(unit, method, idf) for unit in units], dtype=np.float64)
+
+def pool_rows(
+    rows: np.ndarray, weights: np.ndarray, doc_id: str, method: PoolingMethod
+) -> np.ndarray:
+    """L2-normalized weighted sum of one document's rows, as float32; errors name the doc."""
     if not weights.any():
         raise ValueError(f"all unit weights are zero for doc {doc_id!r} under {method.name}")
     pooled = rows.astype(np.float64).T @ weights
@@ -119,3 +102,16 @@ def pool_document(
     if norm == 0.0:
         raise ValueError(f"pooled vector for doc {doc_id!r} cancels to zero")
     return (pooled / norm).astype(np.float32)
+
+
+def pool_document(
+    units: Sequence[ChunkUnit], rows: np.ndarray, method: PoolingMethod, idf: IdfTable | None = None
+) -> np.ndarray:
+    """L2-normalized weighted mean of the unit rows (rows[i] embeds units[i]), as float32."""
+    if not units:
+        raise ValueError("cannot pool a document with no units")
+    rows = np.asarray(rows, dtype=np.float32)
+    if rows.ndim != 2 or rows.shape[0] != len(units):
+        raise ValueError(f"expected {len(units)} embedding rows, got shape {rows.shape}")
+    weights = unit_weights([(unit.text, unit.token_count) for unit in units], method, idf)
+    return pool_rows(rows, weights, units[0].doc_id, method)

@@ -582,6 +582,36 @@ class TestImportCommand:
         assert code == 1
         assert "non-finite embedding for id 'a#1'" in capsys.readouterr().err
 
+    # finite in JSON but beyond float32: 1e39 would cast to inf, and an int
+    # of 401 digits does not fit even a float64
+    @pytest.mark.parametrize("value", [1e39, -1e39, 10**400], ids=["1e39", "-1e39", "1e400_int"])
+    def test_out_of_range_vector_usage_error(self, tmp_path, capsys, value):
+        units, vec_path = self.write_inputs(tmp_path, [
+            {"unit_id": "a#0", "vector": [1.0, 0.0]},
+            {"unit_id": "a#1", "vector": [value, 1.0]},
+        ])
+        code = run_cli(["import-embeddings", "--units", str(units),
+                        "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "imported vector for id 'a#1' has a value outside the float32 range" in err
+        assert not (tmp_path / "m.demb").exists()
+
+    def test_out_of_range_vector_prints_no_warning(self, tmp_path):
+        units, vec_path = self.write_inputs(tmp_path, [
+            {"unit_id": "a#0", "vector": [1.0, 0.0]},
+            {"unit_id": "a#1", "vector": [1e39, 1.0]},
+        ])
+        src = str(Path(chunkalign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "chunkalign.cli", "import-embeddings",
+             "--units", str(units), "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == ("chunkalign: invalid input: imported vector for id 'a#1' "
+                                 "has a value outside the float32 range\n")
+
 
 class TestPoolCommand:
     def test_pool_writes_document_matrix(self, tmp_path, aligned_setup):

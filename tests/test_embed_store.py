@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from chunkalign import embed_store
 from chunkalign.embed_store import (
     EmbeddingMatrix,
     fetch_vectors,
@@ -44,6 +45,34 @@ class TestEmbeddingMatrix:
 
 
 class TestNormalize:
+    def test_block_boundary_matches_whole_matrix_reference(self):
+        # rows on both sides of two block boundaries, norms from 1e-3 to 1e3
+        count = 2 * embed_store._NORMALIZE_BLOCK_ROWS + 3
+        rng = np.random.default_rng(11)
+        data = (rng.standard_normal((count, 5)) * 10 ** rng.uniform(-3, 3, (count, 1)))
+        data = data.astype(np.float32)
+        data64 = data.astype(np.float64)
+        expected = (data64 / np.linalg.norm(data64, axis=1)[:, None]).astype(np.float32)
+        m = normalize(EmbeddingMatrix(ids=[str(i) for i in range(count)], data=data))
+        assert m.data.tobytes() == expected.tobytes()
+
+    def test_non_finite_row_in_later_block_beats_earlier_zero_row(self):
+        block = embed_store._NORMALIZE_BLOCK_ROWS
+        data = np.ones((block + 2, 3), dtype=np.float32)
+        data[1] = 0.0
+        data[block + 1, 2] = np.nan
+        m = EmbeddingMatrix(ids=[f"r{i}" for i in range(block + 2)], data=data)
+        with pytest.raises(ValueError, match=f"non-finite embedding for id 'r{block + 1}'"):
+            normalize(m)
+
+    def test_first_zero_row_named_across_blocks(self):
+        block = embed_store._NORMALIZE_BLOCK_ROWS
+        data = np.ones((2 * block + 2, 3), dtype=np.float32)
+        data[[block + 1, 2 * block + 1]] = 0.0
+        m = EmbeddingMatrix(ids=[f"r{i}" for i in range(2 * block + 2)], data=data)
+        with pytest.raises(ValueError, match=f"zero-norm embedding for id 'r{block + 1}'"):
+            normalize(m)
+
     def test_three_four_five(self):
         m = normalize(EmbeddingMatrix(ids=["v"], data=np.array([[3.0, 4.0]])))
         np.testing.assert_allclose(m.data[0], [0.6, 0.8], atol=1e-7)
@@ -264,6 +293,16 @@ class TestFetch:
         state["raw_vectors"] = {"odd": vector}
         with pytest.raises(ValueError, match="vector for id 'o#1' is not a list of numbers"):
             fetch_vectors(["a#0", "o#1"], ["fine", "odd"], url, retry_wait=0.01)
+        assert state["requests"] == 1
+
+    # the fixture's other vectors have 8 dimensions
+    @pytest.mark.parametrize("value", [1e39, -1e39, 10**400], ids=["1e39", "-1e39", "1e400_int"])
+    def test_out_of_range_vector_names_unit(self, embed_server, value):
+        url, state = embed_server
+        state["raw_vectors"] = {"huge": [1.0] * 7 + [value]}
+        with pytest.raises(ValueError, match="embedding service vector for id 'h#1' has a value "
+                                             "outside the float32 range"):
+            fetch_vectors(["a#0", "h#1"], ["fine", "huge"], url, retry_wait=0.01)
         assert state["requests"] == 1
 
     def test_empty_units_rejected(self):

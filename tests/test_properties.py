@@ -1,7 +1,8 @@
-"""Hypothesis properties of the .demb reader and of the whole dac path."""
+"""Hypothesis properties of the .demb reader, tokenize and the whole dac path."""
 
 import functools
 import tempfile
+import unicodedata
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from chunkalign.corpus import Granularity
 from chunkalign.dac import align_documents_dac
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.miner import MarginParams
+from chunkalign.pooling import tokenize
 from synth import planted_corpus
 
 
@@ -57,6 +59,21 @@ class TestMatrixReaderFuzz:
             read_bytes(bytes(flipped))
         except ValueError:
             pass
+
+
+# characters where one NFC pass over a text could differ from one per token:
+# whitespace that NFC rewrites (U+2000, U+2001), other Unicode spaces,
+# combining marks that may follow a space, Hangul jamo that compose, and
+# letters they attach to
+_NFC_EDGE_CHARS = list(" \t\n\x0b\x0c\r\x1c\x85\xa0\u1680\u2000\u2001\u2002\u2028\u3000"
+                       "\u0301\u0308\u0327\u0345\u1100\u1161\u11a8\uac00eaA\u00e9")
+
+
+class TestTokenize:
+    @given(st.text(st.sampled_from(_NFC_EDGE_CHARS) | st.characters(), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_one_nfc_pass_equals_nfc_per_token(self, text):
+        assert tokenize(text) == [unicodedata.normalize("NFC", t) for t in text.split()]
 
 
 def quantized(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
