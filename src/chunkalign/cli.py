@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+import urllib.parse
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -250,10 +251,23 @@ def _prepare_fetch(args) -> dict:
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
+    _check_endpoint(endpoint)
     units = read_units_tsv(args.units)
     if not units:
         raise ValueError(f"units file {args.units} is empty")
     return {"units": units, "endpoint": endpoint}
+
+
+def _check_endpoint(endpoint: str) -> None:
+    parts = urllib.parse.urlsplit(endpoint)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"embedding endpoint {endpoint!r} is not an http or https URL")
+    if not parts.hostname:
+        raise ValueError(f"embedding endpoint {endpoint!r} has no host")
+    try:
+        parts.port
+    except ValueError:
+        raise ValueError(f"embedding endpoint {endpoint!r} has an invalid port") from None
 
 
 def _run_fetch(args, ctx) -> None:

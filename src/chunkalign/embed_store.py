@@ -192,11 +192,14 @@ def fetch_vectors(
     """Fetch embeddings for texts from the HTTP service, rows in input order.
 
     The service takes POST {"texts": [...]} and answers {"vectors": [[...],
-    ...]}.  Transport failures (connection errors, timeouts, 429, 5xx) are
-    retried with exponential backoff; contract violations (other 4xx, a body
-    that is not JSON, wrong count, a vector that is not a list of numbers,
-    ragged or non-finite vectors) fail immediately.  Rows are normalized
-    before the matrix is returned.
+    ...]}.  Each distinct text is sent once, all batches over one HTTP
+    session, and a repeated text gets a copy of its first row; this assumes
+    the service embeds a text the same way whatever else is in its batch.
+    Transport failures (connection errors, timeouts, 429, 5xx) are retried
+    with exponential backoff; contract violations (other 4xx, a body that is
+    not JSON, wrong count, a vector that is not a list of numbers, ragged or
+    non-finite vectors) fail immediately, naming the first id that carries
+    the text.  Rows are normalized before the matrix is returned.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
@@ -204,35 +207,57 @@ def fetch_vectors(
         raise ValueError("nothing to embed")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    row_of_text: dict[str, int] = {}
+    first_ids: list[str] = []
+    inverse: list[int] = []
+    for unit_id, text in zip(ids, texts):
+        row = row_of_text.setdefault(text, len(first_ids))
+        if row == len(first_ids):
+            first_ids.append(unit_id)
+        inverse.append(row)
+    distinct = list(row_of_text)
+
+    import requests  # only fetching talks HTTP; every other command skips the import
+
     rows: list[list[float]] = []
-    for start in range(0, len(texts), batch_size):
-        batch = list(texts[start:start + batch_size])
-        payload = _post_batch(endpoint, batch, attempts, retry_wait, timeout)
-        vectors = payload.get("vectors") if isinstance(payload, dict) else None
-        if not isinstance(vectors, list):
-            raise ValueError("embedding service response has no 'vectors' list")
-        if len(vectors) != len(batch):
-            raise ValueError(
-                f"embedding service returned {len(vectors)} vectors for {len(batch)} texts"
-            )
-        rows.extend(vectors)
-    return matrix_from_vectors(ids, rows, "embedding service")
+    requests_sent = 0
+    with requests.Session() as session:
+        for start in range(0, len(distinct), batch_size):
+            batch = distinct[start:start + batch_size]
+            payload, tries = _post_batch(session, endpoint, batch, attempts, retry_wait, timeout)
+            requests_sent += tries
+            vectors = payload.get("vectors") if isinstance(payload, dict) else None
+            if not isinstance(vectors, list):
+                raise ValueError("embedding service response has no 'vectors' list")
+            if len(vectors) != len(batch):
+                raise ValueError(
+                    f"embedding service returned {len(vectors)} vectors for {len(batch)} texts"
+                )
+            rows.extend(vectors)
+    batches = -(-len(distinct) // batch_size)
+    logger.debug(
+        "fetch funnel: %d texts, %d distinct, %d requests, %d retries",
+        len(texts), len(distinct), requests_sent, requests_sent - batches,
+    )
+    matrix = matrix_from_vectors(first_ids, rows, "embedding service")
+    return EmbeddingMatrix(ids=list(ids), data=matrix.data[inverse])
 
 
-def _post_batch(endpoint: str, batch: list[str], attempts: int, retry_wait: float, timeout: float):
-    """POST one batch and return the parsed JSON body.
+def _post_batch(session, endpoint: str, batch: list[str], attempts: int, retry_wait: float,
+                timeout: float):
+    """POST one batch over the session; return the parsed JSON body and the requests sent.
 
     Connection errors, timeouts, 429 and 5xx are retried; another 4xx and a
     body that is not JSON are contract violations and fail at once.
     """
-    import requests  # only fetching talks HTTP; every other command skips the import
+    import requests
 
     last_error: Exception | str | None = None
     for attempt in range(attempts):
         if attempt:
             time.sleep(retry_wait * 2 ** (attempt - 1))
         try:
-            response = requests.post(endpoint, json={"texts": batch}, timeout=timeout)
+            response = session.post(endpoint, json={"texts": batch}, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = exc
         else:
@@ -243,7 +268,7 @@ def _post_batch(endpoint: str, batch: list[str], attempts: int, retry_wait: floa
                 raise ValueError(f"embedding service rejected the batch with HTTP {status}")
             else:
                 try:
-                    return response.json()
+                    return response.json(), attempt + 1
                 except ValueError:
                     raise ValueError(
                         f"embedding service answered HTTP {status} with a body that is not JSON"

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -15,12 +17,19 @@ def vector_for_text(text, dim=8):
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        self.server.state["connections"] += 1
+
     def do_POST(self):
         state = self.server.state
         state["requests"] += 1
+        # read the body first: on a kept-alive connection the next request follows it
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         if state["fail_remaining"] > 0:
             state["fail_remaining"] -= 1
             self.send_response(state["fail_status"])
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if state["bad_body"]:
@@ -29,8 +38,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"<html/>\n\n")
             return
-        length = int(self.headers.get("Content-Length", 0))
-        texts = json.loads(self.rfile.read(length))["texts"]
+        texts = json.loads(body)["texts"]
+        state["texts"].update(texts)
         vectors = []
         for text in texts:
             if text in state.get("raw_vectors", {}):
@@ -56,21 +65,53 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    # fail_remaining: answer that many requests with fail_status and no body;
-    # bad_body: answer 200 with a body that is not JSON; nan_text, zero_text
-    # and short_text: answer that text with a NaN, zero or 7-dimensional vector;
-    # raw_vectors: answer each text it maps with the value it maps it to
-    server.state = {"requests": 0, "fail_remaining": 0, "fail_status": 500, "bad_body": False}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+class _KeepAliveEmbedHandler(_EmbedHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        if self.server.state["close_idle"]:
+            # end the connection once the reply is out, without a
+            # "Connection: close" header: the client pools it as reusable
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            self.close_connection = True
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # requests and connections: how many the server got; texts: a Counter of
+    # every text it was sent; fail_remaining: answer that many requests with
+    # fail_status and no body; bad_body: answer 200 with a body that is not
+    # JSON; nan_text, zero_text and short_text: answer that text with a NaN,
+    # zero or 7-dimensional vector; raw_vectors: answer each text it maps with
+    # the value it maps it to; close_idle (keep-alive server only): close each
+    # connection after its reply
+    server.state = {"requests": 0, "connections": 0, "texts": collections.Counter(),
+                    "fail_remaining": 0, "fail_status": 500, "bad_body": False,
+                    "close_idle": False}
+    # a short poll interval lets shutdown() return quickly at teardown
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/embed", server.state
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
+
+
+@pytest.fixture
+def embed_server():
+    """HTTP/1.0 service: one connection per request."""
+    yield from _serve(_EmbedHandler)
+
+
+@pytest.fixture
+def keepalive_embed_server():
+    """HTTP/1.1 service that keeps connections open unless close_idle is set."""
+    yield from _serve(_KeepAliveEmbedHandler)
 
 
 def random_unit_matrix(rng, count, dim):

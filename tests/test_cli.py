@@ -493,6 +493,37 @@ class TestFetchCommand:
         assert code == 1
         assert "no embedding endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint, problem", [
+        ("127.0.0.1:9/embed", "is not an http or https URL"),
+        ("http://", "has no host"),
+        ("http://127.0.0.1:notaport/embed", "has an invalid port"),
+    ])
+    def test_malformed_endpoint_usage_error(self, tmp_path, capsys, endpoint, problem):
+        units = self.write_units(tmp_path)
+        code = run_cli(["fetch-embeddings", "--units", str(units), "--endpoint", endpoint,
+                        "--out", str(tmp_path / "x.demb")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chunkalign: invalid input: ")
+        assert f"embedding endpoint {endpoint!r} {problem}" in err
+
+    def test_verbose_logs_fetch_funnel(self, tmp_path, embed_server, caplog):
+        url, _ = embed_server
+        units = tmp_path / "units.tsv"
+        units.write_text("d#0\tsame\nd#1\tother\nd#2\tsame\n", encoding="utf-8")
+
+        def funnel_lines():
+            return [record.getMessage() for record in caplog.records
+                    if record.name == "chunkalign.embed_store"
+                    and "fetch funnel" in record.getMessage()]
+
+        argv = ["fetch-embeddings", "--units", str(units), "--endpoint", url,
+                "--out", str(tmp_path / "emb.demb")]
+        assert run_cli(argv) == 0
+        assert funnel_lines() == []
+        assert run_cli(["--verbose", *argv]) == 0
+        assert funnel_lines() == ["fetch funnel: 3 texts, 2 distinct, 1 requests, 0 retries"]
+
     def test_unreachable_service_runtime_error(self, tmp_path, capsys):
         units = self.write_units(tmp_path)
         code = run_cli(["fetch-embeddings", "--units", str(units),

@@ -1,3 +1,4 @@
+import logging
 import socket
 import struct
 
@@ -8,6 +9,7 @@ from chunkalign import embed_store
 from chunkalign.embed_store import (
     EmbeddingMatrix,
     fetch_vectors,
+    matrix_from_vectors,
     normalize,
     read_matrix,
     write_matrix,
@@ -308,3 +310,76 @@ class TestFetch:
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):
             fetch_vectors([], [], "http://unused.invalid")
+
+
+class TestFetchDedupe:
+    def test_repeated_texts_sent_once(self, embed_server):
+        url, state = embed_server
+        texts = ["a", "b", "a", "c", "b", "d", "a", "e", "e", "c"]
+        ids = [f"u#{i}" for i in range(len(texts))]
+        fetch_vectors(ids, texts, url, batch_size=2)
+        assert state["texts"] == {text: 1 for text in "abcde"}
+        assert state["requests"] == 3  # ceil(5 distinct / 2)
+
+    def test_rows_bit_identical_to_fetch_without_repeats(self, embed_server):
+        url, state = embed_server
+        # repeats land in other batches and other normalize blocks than their
+        # first occurrence
+        texts = [f"boilerplate {i % 7}" if i % 3 == 0 else f"sentence {i}" for i in range(2500)]
+        ids = [f"d{i // 10}#{i % 10}" for i in range(len(texts))]
+        matrix = fetch_vectors(ids, texts, url, batch_size=32)
+        assert sum(state["texts"].values()) == len(set(texts))
+        assert matrix.ids == ids
+        # one row per id, every text embedded and normalized on its own
+        reference = matrix_from_vectors(ids, [vector_for_text(text) for text in texts], "test")
+        assert matrix.data.tobytes() == reference.data.tobytes()
+
+    @pytest.mark.parametrize("vector, problem", [
+        ([float("nan")] * 8, "non-finite embedding for id 'b#2'"),
+        ([0.0] * 8, "zero-norm embedding for id 'b#2'"),
+        ([True] * 8, "vector for id 'b#2' is not a list of numbers"),
+    ], ids=["nan", "zero", "bool"])
+    def test_bad_vector_for_repeated_text_names_first_id(self, embed_server, vector, problem):
+        url, state = embed_server
+        state["raw_vectors"] = {"bad": vector}
+        with pytest.raises(ValueError, match=problem):
+            fetch_vectors(["a#0", "b#2", "c#5", "d#1"], ["fine", "bad", "other", "bad"],
+                          url, batch_size=1)
+
+    def test_duplicate_ids_rejected(self, embed_server):
+        url, _ = embed_server
+        with pytest.raises(ValueError, match="duplicate id 'a#0'"):
+            fetch_vectors(["a#0", "a#0"], ["same", "same"], url)
+
+    def test_funnel_line_counts_retries(self, embed_server, caplog):
+        url, state = embed_server
+        state["fail_remaining"] = 1
+        caplog.set_level(logging.DEBUG, logger="chunkalign")
+        fetch_vectors([f"u#{i}" for i in range(6)], ["x", "y", "x", "z", "y", "x"], url,
+                      batch_size=2, retry_wait=0.01)
+        funnel = [record.getMessage() for record in caplog.records
+                  if record.name == "chunkalign.embed_store" and record.levelno == logging.DEBUG]
+        assert funnel == ["fetch funnel: 6 texts, 3 distinct, 3 requests, 1 retries"]
+
+
+class TestFetchSession:
+    def test_batches_share_one_connection(self, keepalive_embed_server):
+        url, state = keepalive_embed_server
+        fetch_vectors([f"u#{i}" for i in range(5)], [f"t{i}" for i in range(5)], url,
+                      batch_size=2)
+        assert state["requests"] == 3
+        assert state["connections"] == 1
+
+    def test_idle_connection_closed_between_batches(self, keepalive_embed_server, embed_server):
+        url, state = keepalive_embed_server
+        state["close_idle"] = True
+        # a batch sent on a pooled connection just before its close arrives
+        # fails as a connection error and is retried on a new connection
+        ids = [f"u#{i}" for i in range(5)]
+        texts = [f"t{i}" for i in range(5)]
+        matrix = fetch_vectors(ids, texts, url, batch_size=2, retry_wait=0.01)
+        assert state["requests"] == 3
+        assert state["connections"] == 3
+        reference = fetch_vectors(ids, texts, embed_server[0], batch_size=2)
+        assert matrix.ids == ids
+        assert matrix.data.tobytes() == reference.data.tobytes()
