@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import struct
@@ -107,26 +108,52 @@ def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> E
     error naming its id, and vectors of differing lengths one naming their
     source; normalize rejects non-finite and zero rows.
     """
-    width = None
-    for unit_id, vector in zip(ids, vectors):
-        if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
-            raise ValueError(f"{source} vector for id {unit_id!r} is not a list of numbers")
-        if width is None:
-            width = len(vector)
-        elif len(vector) != width:
-            raise ValueError(f"{source} vectors have differing dimensions")
-    try:
-        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, found below
-            data = np.asarray(vectors, dtype=np.float32)
-        suspects = np.flatnonzero(~np.isfinite(data).all(axis=-1))
-    except OverflowError:  # an int too large for any float
-        suspects = range(len(vectors))
-    for row in suspects:
-        if any(_FLOAT32_MAX < abs(value) < math.inf for value in vectors[row]):
-            raise ValueError(
-                f"{source} vector for id {ids[row]!r} has a value outside the float32 range"
-            )
-    return normalize(EmbeddingMatrix(ids=list(ids), data=data))
+    rows = _VectorRows(source)
+    rows.add(ids, vectors)
+    return rows.matrix(ids)
+
+
+class _VectorRows:
+    """float32 rows converted from plain vectors one block at a time.
+
+    add() makes the type and width checks of matrix_from_vectors on its
+    block; matrix() makes the float32 range check over every block and
+    normalizes, so the errors come in the order one call with all vectors
+    would raise them.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
+        self.width: int | None = None
+        self.blocks: list[np.ndarray] = []
+        # (id, vector) of each row float32 could not hold: a non-finite or out-of-range value
+        self.suspects: list[tuple[str, list]] = []
+
+    def add(self, ids: Sequence[str], vectors: Sequence) -> None:
+        for unit_id, vector in zip(ids, vectors):
+            if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
+                raise ValueError(f"{self.source} vector for id {unit_id!r} is not a list of numbers")
+            if self.width is None:
+                self.width = len(vector)
+            elif len(vector) != self.width:
+                raise ValueError(f"{self.source} vectors have differing dimensions")
+        try:
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, found below
+                block = np.asarray(vectors, dtype=np.float32)
+            suspects = np.flatnonzero(~np.isfinite(block).all(axis=-1))
+        except OverflowError:  # an int too large for any float, which matrix() rejects
+            block = np.empty((len(vectors), self.width), dtype=np.float32)
+            suspects = range(len(vectors))
+        self.blocks.append(block)
+        self.suspects.extend((ids[row], vectors[row]) for row in suspects)
+
+    def matrix(self, ids: Sequence[str]) -> EmbeddingMatrix:
+        for unit_id, vector in self.suspects:
+            if any(_FLOAT32_MAX < abs(value) < math.inf for value in vector):
+                raise ValueError(
+                    f"{self.source} vector for id {unit_id!r} has a value outside the float32 range"
+                )
+        return normalize(EmbeddingMatrix(ids=list(ids), data=np.concatenate(self.blocks)))
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -193,13 +220,16 @@ def fetch_vectors(
 
     The service takes POST {"texts": [...]} and answers {"vectors": [[...],
     ...]}.  Each distinct text is sent once, all batches over one HTTP
-    session, and a repeated text gets a copy of its first row; this assumes
-    the service embeds a text the same way whatever else is in its batch.
-    Transport failures (connection errors, timeouts, 429, 5xx) are retried
-    with exponential backoff; contract violations (other 4xx, a body that is
-    not JSON, wrong count, a vector that is not a list of numbers, ragged or
-    non-finite vectors) fail immediately, naming the first id that carries
-    the text.  Rows are normalized before the matrix is returned.
+    connection, and a repeated text gets a copy of its first row; this
+    assumes the service embeds a text the same way whatever else is in its
+    batch.  The next batch is sent as soon as a reply has been read, so the
+    service works on it while that reply is decoded and checked; one request
+    is in flight at most.  Transport failures (connection errors, timeouts,
+    429, 5xx) are retried with exponential backoff; contract violations (a
+    redirect, another 4xx, a body that is not JSON, wrong count, a vector
+    that is not a list of numbers, ragged or non-finite vectors) fail
+    immediately, naming the first id that carries the text.  Rows are
+    normalized before the matrix is returned.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
@@ -217,63 +247,212 @@ def fetch_vectors(
         inverse.append(row)
     distinct = list(row_of_text)
 
-    import requests  # only fetching talks HTTP; every other command skips the import
-
-    rows: list[list[float]] = []
+    rows = _VectorRows("embedding service")
     requests_sent = 0
-    with requests.Session() as session:
+    connection = _ServiceConnection(endpoint, timeout)
+    try:
+        connection.send(distinct[:batch_size])
         for start in range(0, len(distinct), batch_size):
             batch = distinct[start:start + batch_size]
-            payload, tries = _post_batch(session, endpoint, batch, attempts, retry_wait, timeout)
+            status, body, tries = _await_reply(connection, batch, attempts, retry_wait)
             requests_sent += tries
-            vectors = payload.get("vectors") if isinstance(payload, dict) else None
-            if not isinstance(vectors, list):
-                raise ValueError("embedding service response has no 'vectors' list")
-            if len(vectors) != len(batch):
-                raise ValueError(
-                    f"embedding service returned {len(vectors)} vectors for {len(batch)} texts"
-                )
-            rows.extend(vectors)
+            following = distinct[start + batch_size:start + 2 * batch_size]
+            if following:
+                connection.send(following)
+            rows.add(first_ids[start:start + batch_size], _reply_vectors(status, body, len(batch)))
+    finally:
+        connection.close()
     batches = -(-len(distinct) // batch_size)
     logger.debug(
         "fetch funnel: %d texts, %d distinct, %d requests, %d retries",
         len(texts), len(distinct), requests_sent, requests_sent - batches,
     )
-    matrix = matrix_from_vectors(first_ids, rows, "embedding service")
+    matrix = rows.matrix(first_ids)
     return EmbeddingMatrix(ids=list(ids), data=matrix.data[inverse])
 
 
-def _post_batch(session, endpoint: str, batch: list[str], attempts: int, retry_wait: float,
-                timeout: float):
-    """POST one batch over the session; return the parsed JSON body and the requests sent.
+def _await_reply(connection: "_ServiceConnection", batch: list[str], attempts: int,
+                 retry_wait: float) -> tuple[int, bytes, int]:
+    """Status and body of the reply to batch, which is sent already, and the requests it took.
 
-    Connection errors, timeouts, 429 and 5xx are retried; another 4xx and a
-    body that is not JSON are contract violations and fail at once.
+    Connection errors, timeouts, 429 and 5xx are retried, sending the batch
+    again after a backoff; a redirect or another 4xx is a contract violation
+    and fails at once.
     """
-    import requests
+    from http.client import HTTPException
 
     last_error: Exception | str | None = None
     for attempt in range(attempts):
         if attempt:
             time.sleep(retry_wait * 2 ** (attempt - 1))
+            connection.send(batch)
         try:
-            response = session.post(endpoint, json={"texts": batch}, timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, body = connection.receive()
+        except (OSError, HTTPException) as exc:
             last_error = exc
         else:
-            status = response.status_code
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"
-            elif status >= 400:
+            elif 300 <= status < 400:
+                raise ValueError(
+                    f"embedding service answered the batch with redirect HTTP {status}, "
+                    "which is not followed"
+                )
+            elif not 200 <= status < 300:
                 raise ValueError(f"embedding service rejected the batch with HTTP {status}")
             else:
-                try:
-                    return response.json(), attempt + 1
-                except ValueError:
-                    raise ValueError(
-                        f"embedding service answered HTTP {status} with a body that is not JSON"
-                    ) from None
+                return status, body, attempt + 1
         logger.warning(
             "embedding request failed (attempt %d/%d): %s", attempt + 1, attempts, last_error
         )
     raise RuntimeError(f"embedding service failed after {attempts} attempts: {last_error}")
+
+
+def _reply_vectors(status: int, body: bytes, count: int) -> list:
+    """The 'vectors' list of a reply body, checked to hold count entries."""
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        raise ValueError(
+            f"embedding service answered HTTP {status} with a body that is not JSON"
+        ) from None
+    vectors = payload.get("vectors") if isinstance(payload, dict) else None
+    if not isinstance(vectors, list):
+        raise ValueError("embedding service response has no 'vectors' list")
+    if len(vectors) != count:
+        raise ValueError(f"embedding service returned {len(vectors)} vectors for {count} texts")
+    return vectors
+
+
+class _ServiceConnection:
+    """One HTTP connection to the embedding service, one request in flight at most.
+
+    The environment is read once, here: a proxy from $http_proxy,
+    $https_proxy or $all_proxy unless $no_proxy bypasses the host (plain
+    http goes to the proxy in absolute form, https through a CONNECT
+    tunnel), basic credentials from the URL's userinfo or else ~/.netrc, and
+    for https the default trust store (ssl.create_default_context, which
+    honours $SSL_CERT_FILE).  send() posts a batch; a failure to send is
+    raised by the receive() that follows, which returns the reply's status
+    and body.
+    """
+
+    def __init__(self, endpoint: str, timeout: float):
+        # only fetching talks HTTP; every other command skips these imports
+        import http.client
+        import ssl
+        import urllib.parse
+        import urllib.request
+
+        parts = urllib.parse.urlsplit(endpoint)
+        https = parts.scheme == "https"
+        netloc = parts.netloc.rpartition("@")[2]  # host[:port], never the userinfo
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._headers = {"Host": netloc, "Content-Type": "application/json"}
+        credentials = _userinfo(parts) or _netrc_credentials(parts.hostname)
+        if credentials:
+            self._headers["Authorization"] = _basic_auth(*credentials)
+
+        proxy = urllib.request.getproxies()
+        proxy = proxy.get(parts.scheme) or proxy.get("all")
+        if proxy and urllib.request.proxy_bypass(parts.hostname):
+            proxy = None
+        context = ssl.create_default_context() if https else None
+        if proxy is None:
+            self._connection = (
+                http.client.HTTPSConnection(parts.hostname, parts.port, timeout=timeout,
+                                            context=context)
+                if https else http.client.HTTPConnection(parts.hostname, parts.port,
+                                                         timeout=timeout)
+            )
+        else:
+            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if proxy_parts.scheme != "http":
+                raise ValueError(f"proxy {proxy_parts.scheme}:// for the embedding service is "
+                                 "not supported, only http://")
+            proxy_headers = {}
+            proxy_credentials = _userinfo(proxy_parts)
+            if proxy_credentials:
+                proxy_headers["Proxy-Authorization"] = _basic_auth(*proxy_credentials)
+            proxy_port = proxy_parts.port or 80
+            if https:
+                self._connection = http.client.HTTPSConnection(
+                    proxy_parts.hostname, proxy_port, timeout=timeout, context=context)
+                self._connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+            else:
+                self._connection = http.client.HTTPConnection(
+                    proxy_parts.hostname, proxy_port, timeout=timeout)
+                self._target = f"http://{netloc}{self._target}"
+                self._headers.update(proxy_headers)
+        self._batch: list[str] = []
+        self._reused = False
+        self._failure: Exception | None = None
+
+    def send(self, batch: list[str]) -> None:
+        from http.client import HTTPException
+
+        self._batch = batch
+        # a socket left open by the last reply: the service may have closed it meanwhile
+        self._reused = self._connection.sock is not None
+        self._failure = None
+        body = json.dumps({"texts": batch}).encode("utf-8")
+        try:
+            self._connection.request("POST", self._target, body, self._headers)
+        except (OSError, HTTPException) as exc:
+            self._connection.close()
+            self._failure = exc
+
+    def _response(self):
+        if self._failure is not None:
+            raise self._failure
+        return self._connection.getresponse()
+
+    def receive(self) -> tuple[int, bytes]:
+        """Status and body of the reply to the request sent last."""
+        try:
+            try:
+                response = self._response()
+            except ConnectionError:
+                if not self._reused:
+                    raise
+                # the service closed the kept-alive connection before replying:
+                # send again at once on a new one, spending no attempt
+                self._connection.close()
+                self.send(self._batch)
+                response = self._response()
+            return response.status, response.read()
+        except BaseException:
+            self._connection.close()
+            raise
+
+    def close(self) -> None:
+        self._connection.close()
+
+
+def _userinfo(parts) -> tuple[str, str] | None:
+    """Basic credentials from a split URL's userinfo, if it has any."""
+    from urllib.parse import unquote
+
+    if parts.username is None:
+        return None
+    return unquote(parts.username), unquote(parts.password or "")
+
+
+def _netrc_credentials(host: str) -> tuple[str, str] | None:
+    """Basic credentials for host from ~/.netrc, if it has an entry that applies."""
+    import netrc
+
+    try:
+        entry = netrc.netrc().authenticators(host)
+    except (OSError, netrc.NetrcParseError):  # no ~/.netrc, or one that cannot be used
+        return None
+    if entry is None:
+        return None
+    login, account, password = entry
+    return login or account, password
+
+
+def _basic_auth(user: str, password: str) -> str:
+    import base64
+
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -24,11 +25,14 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         state = self.server.state
         state["requests"] += 1
+        state["seen"].append((self.command, self.path, self.headers))
         # read the body first: on a kept-alive connection the next request follows it
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         if state["fail_remaining"] > 0:
             state["fail_remaining"] -= 1
             self.send_response(state["fail_status"])
+            if 300 <= state["fail_status"] < 400:
+                self.send_header("Location", "/embed")
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -61,6 +65,13 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def do_CONNECT(self):
+        # a proxy that records the tunnel asked for and refuses it
+        self.server.state["seen"].append((self.command, self.path, self.headers))
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
@@ -78,16 +89,25 @@ class _KeepAliveEmbedHandler(_EmbedHandler):
             self.close_connection = True
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # a client that fails on a bad reply closes the connection with its
+        # next batch in flight; its reply then finds no reader
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 def _serve(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    # requests and connections: how many the server got; texts: a Counter of
+    server = _Server(("127.0.0.1", 0), handler)
+    # requests and connections: how many the server got; seen: (method,
+    # target, headers) of each request, CONNECT included; texts: a Counter of
     # every text it was sent; fail_remaining: answer that many requests with
-    # fail_status and no body; bad_body: answer 200 with a body that is not
+    # fail_status and no body (a 3xx points back at /embed); bad_body: answer 200 with a body that is not
     # JSON; nan_text, zero_text and short_text: answer that text with a NaN,
     # zero or 7-dimensional vector; raw_vectors: answer each text it maps with
     # the value it maps it to; close_idle (keep-alive server only): close each
     # connection after its reply
-    server.state = {"requests": 0, "connections": 0, "texts": collections.Counter(),
+    server.state = {"requests": 0, "connections": 0, "seen": [], "texts": collections.Counter(),
                     "fail_remaining": 0, "fail_status": 500, "bad_body": False,
                     "close_idle": False}
     # a short poll interval lets shutdown() return quickly at teardown

@@ -534,15 +534,16 @@ class TestFetchCommand:
 
 
 class TestStartup:
-    def test_cli_import_leaves_requests_out(self):
-        # only fetch-embeddings needs the HTTP client; the other commands
-        # should not pay for importing it
+    def test_cli_import_leaves_http_client_out(self):
+        # only fetch-embeddings talks HTTP; the other commands should not pay
+        # for importing a client, the standard library's or a third party's
         src = str(Path(chunkalign.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, chunkalign.cli; print('requests' in sys.modules)"
+        probe = ("import sys, chunkalign.cli; "
+                 "print(sorted({'http.client', 'requests'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 class TestImportCommand:

@@ -1,6 +1,8 @@
+import base64
 import logging
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +247,15 @@ class TestFetch:
         assert len(matrix) == 1
         assert state["requests"] == 3
 
+    @pytest.mark.parametrize("status", [301, 302, 307, 308])
+    def test_redirect_not_followed(self, embed_server, status):
+        url, state = embed_server
+        state["fail_remaining"] = 99
+        state["fail_status"] = status
+        with pytest.raises(ValueError, match=f"with redirect HTTP {status}, which is not followed"):
+            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        assert state["requests"] == 1
+
     def test_body_not_json_not_retried(self, embed_server):
         url, state = embed_server
         state["bad_body"] = True
@@ -370,16 +381,129 @@ class TestFetchSession:
         assert state["requests"] == 3
         assert state["connections"] == 1
 
-    def test_idle_connection_closed_between_batches(self, keepalive_embed_server, embed_server):
+    def test_idle_connection_closed_between_batches(self, keepalive_embed_server, embed_server,
+                                                    caplog):
         url, state = keepalive_embed_server
         state["close_idle"] = True
-        # a batch sent on a pooled connection just before its close arrives
-        # fails as a connection error and is retried on a new connection
-        ids = [f"u#{i}" for i in range(5)]
-        texts = [f"t{i}" for i in range(5)]
-        matrix = fetch_vectors(ids, texts, url, batch_size=2, retry_wait=0.01)
-        assert state["requests"] == 3
-        assert state["connections"] == 3
-        reference = fetch_vectors(ids, texts, embed_server[0], batch_size=2)
+        caplog.set_level(logging.DEBUG, logger="chunkalign")
+        # the next batch goes out on the kept-alive connection as soon as a
+        # reply is read, before the close arrives; it is sent again at once on
+        # a new connection, without a warning, an attempt or a backoff
+        ids = [f"u#{i}" for i in range(10)]
+        texts = [f"t{i}" for i in range(10)]
+        started = time.perf_counter()
+        matrix = fetch_vectors(ids, texts, url, batch_size=1)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5  # one backoff at the default retry_wait alone takes 0.5 s
+        assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == []
+        funnel = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert funnel == ["fetch funnel: 10 texts, 10 distinct, 10 requests, 0 retries"]
+        assert state["requests"] == 10
+        assert state["connections"] == 10
+        reference = fetch_vectors(ids, texts, embed_server[0], batch_size=1)
         assert matrix.ids == ids
         assert matrix.data.tobytes() == reference.data.tobytes()
+
+
+class TestFetchSendAhead:
+    @pytest.mark.parametrize("server", ["embed_server", "keepalive_embed_server"])
+    def test_clean_fetch_sends_one_request_per_batch(self, request, server):
+        url, state = request.getfixturevalue(server)
+        fetch_vectors([f"u#{i}" for i in range(7)], [f"t{i}" for i in range(7)], url,
+                      batch_size=2)
+        assert state["requests"] == 4
+        assert state["texts"] == {f"t{i}": 1 for i in range(7)}
+
+    # the bad text sits in the reply to batch `index` (one distinct text per
+    # batch) and is repeated by a later unit
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("server", ["embed_server", "keepalive_embed_server"])
+    def test_bad_reply_stops_sending(self, request, server, index):
+        url, state = request.getfixturevalue(server)
+        state["raw_vectors"] = {"bad": [True] * 8}
+        texts = [f"t{i}" for i in range(8)]
+        texts[index] = "bad"
+        ids = [f"u#{i}" for i in range(8)]
+        with pytest.raises(ValueError, match=f"vector for id 'u#{index}' is not a list of numbers"):
+            fetch_vectors(ids + ["late#0"], texts + ["bad"], url, batch_size=1)
+        assert index + 1 <= state["requests"] <= index + 2
+
+    @pytest.mark.parametrize("fault, problem", [
+        ({"drop_one": True}, "returned 1 vectors for 2 texts"),
+        ({"bad_body": True}, "with a body that is not JSON"),
+        ({"raw_vectors": {"t1": [1.0] * 7}}, "vectors have differing dimensions"),
+    ], ids=["count", "not_json", "ragged"])
+    def test_first_bad_reply_stops_sending(self, keepalive_embed_server, fault, problem):
+        url, state = keepalive_embed_server
+        state.update(fault)
+        with pytest.raises(ValueError, match=problem):
+            fetch_vectors([f"u#{i}" for i in range(10)], [f"t{i}" for i in range(10)], url,
+                          batch_size=2)
+        assert 1 <= state["requests"] <= 2
+
+
+def _basic(user, password):
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode()
+
+
+class TestFetchEnvironment:
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch, tmp_path):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))  # no ~/.netrc unless a test writes one
+
+    def test_http_proxy_gets_absolute_form(self, embed_server, monkeypatch):
+        url, state = embed_server
+        proxy = url.removesuffix("/embed").replace("http://", "http://pu:pp@")
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        matrix = fetch_vectors(["a#0"], ["hello"], "http://embed.invalid/embed?v=1")
+        assert matrix.ids == ["a#0"]
+        [(method, target, headers)] = state["seen"]
+        assert (method, target) == ("POST", "http://embed.invalid/embed?v=1")
+        assert headers["Host"] == "embed.invalid"
+        assert headers["Proxy-Authorization"] == _basic("pu", "pp")
+        assert headers["Authorization"] is None
+
+    def test_no_proxy_bypasses_dead_proxy(self, embed_server, monkeypatch):
+        url, state = embed_server
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{port}")
+        # nothing listens on the proxy's port
+        with pytest.raises(RuntimeError, match="failed after 1 attempts"):
+            fetch_vectors(["a#0"], ["hello"], url, attempts=1)
+        assert state["requests"] == 0
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        fetch_vectors(["a#0"], ["hello"], url, attempts=1)
+        assert state["requests"] == 1
+
+    def test_https_goes_through_connect_tunnel(self, embed_server, monkeypatch):
+        url, state = embed_server
+        monkeypatch.setenv("HTTPS_PROXY", url.removesuffix("/embed"))
+        with pytest.raises(RuntimeError, match="failed after 1 attempts: Tunnel connection failed"):
+            fetch_vectors(["a#0"], ["hello"], "https://user:pw@embed.invalid/embed", attempts=1)
+        [(method, target, _)] = state["seen"]
+        assert (method, target) == ("CONNECT", "embed.invalid:443")
+
+    def test_userinfo_credentials_stay_out_of_host(self, embed_server):
+        url, state = embed_server
+        authority = url.removeprefix("http://").removesuffix("/embed")
+        fetch_vectors(["a#0"], ["hello"], f"http://us%40er:p%3Ass@{authority}/embed")
+        [(_, target, headers)] = state["seen"]
+        assert target == "/embed"
+        assert headers["Host"] == authority
+        assert headers["Authorization"] == _basic("us@er", "p:ss")
+
+    def test_netrc_credentials(self, embed_server, tmp_path):
+        url, state = embed_server
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login nu password np\n")
+        netrc.chmod(0o600)
+        fetch_vectors(["a#0"], ["hello"], url)
+        # credentials in the URL win over ~/.netrc
+        fetch_vectors(["a#0"], ["hello"], url.replace("http://", "http://uu:up@"))
+        assert [headers["Authorization"] for _, _, headers in state["seen"]] == [
+            _basic("nu", "np"), _basic("uu", "up")]
