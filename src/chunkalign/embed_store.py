@@ -69,9 +69,16 @@ class EmbeddingMatrix:
             raise KeyError(f"no embedding for id {unit_id!r}") from None
 
     def select(self, ids: Sequence[str]) -> "EmbeddingMatrix":
-        """Sub-matrix holding the given ids, in the given order."""
+        """Sub-matrix holding the given ids, in the given order.
+
+        Given this matrix's own ids in its own order, returns the matrix itself
+        (it is immutable), with no copy of the rows or of the id table.
+        """
+        ids = list(ids)
+        if ids == self.ids:
+            return self
         rows = [self.row_of(unit_id) for unit_id in ids]
-        return EmbeddingMatrix(ids=list(ids), data=self.data[rows])
+        return EmbeddingMatrix(ids=ids, data=self.data[rows])
 
 
 def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -376,9 +383,9 @@ class _ServiceConnection:
                 proxy_headers["Proxy-Authorization"] = _basic_auth(*proxy_credentials)
             proxy_port = proxy_parts.port or 80
             if https:
-                self._connection = http.client.HTTPSConnection(
-                    proxy_parts.hostname, proxy_port, timeout=timeout, context=context)
-                self._connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+                self._connection = _tunnel_connection(
+                    proxy_parts.hostname, proxy_port, parts.hostname, parts.port or 443,
+                    proxy_headers, timeout, context)
             else:
                 self._connection = http.client.HTTPConnection(
                     proxy_parts.hostname, proxy_port, timeout=timeout)
@@ -427,6 +434,33 @@ class _ServiceConnection:
 
     def close(self) -> None:
         self._connection.close()
+
+
+def _tunnel_connection(proxy_host: str, proxy_port: int, host: str, port: int,
+                       headers: dict, timeout: float, context):
+    """HTTPS connection to host:port through a CONNECT tunnel at the proxy.
+
+    An IPv6 host is bracketed in the CONNECT line and its Host header on every
+    Python version: http.client's set_tunnel strips the brackets, and before
+    3.13 its _tunnel writes the bare address (CONNECT ::1:8443).
+    """
+    import http.client
+
+    class Connection(http.client.HTTPSConnection):
+        def _tunnel(self):
+            bare = self._tunnel_host
+            if ":" in bare:
+                self._tunnel_host = f"[{bare}]"
+            try:
+                super()._tunnel()
+            finally:
+                # TLS checks the certificate against the bare address
+                self._tunnel_host = bare
+
+    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    connection = Connection(proxy_host, proxy_port, timeout=timeout, context=context)
+    connection.set_tunnel(host, port, headers={"Host": authority, **headers})
+    return connection
 
 
 def _userinfo(parts) -> tuple[str, str] | None:

@@ -10,7 +10,10 @@ import numpy as np
 from .embed_store import EmbeddingMatrix
 
 NORM_TOLERANCE = 1e-3
-DEFAULT_BLOCK_SIZE = 512
+# Rows per tile.  A tile's float64 scores and np.partition's copy of them take
+# 2 x 8 x 128 x m bytes per worker against m rows; a 128-row GEMM still does
+# 32 flops per byte it streams of the other side.
+DEFAULT_BLOCK_SIZE = 128
 
 # (scores, rows), both (queries, depth); row i holds one query's neighbors
 # best first, ties broken by ascending row number

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -85,8 +86,10 @@ def unit_weights(
         weight = float(count) if method in (PoolingMethod.LP, PoolingMethod.LIDF) else 1.0
         if idf_of is not None:
             tokens = tokenize(text)
-            # Python's sum in token order: np.sum or reduceat would round differently
-            weight *= sum(map(idf_of, tokens)) / len(tokens) if tokens else 0.0
+            # a plain left-to-right sum in token order: np.sum or reduceat round
+            # differently, and so does sum() of floats from Python 3.12 on
+            total = functools.reduce(operator.add, map(idf_of, tokens), 0.0)
+            weight *= total / len(tokens) if tokens else 0.0
         weights.append(weight)
     return np.array(weights, dtype=np.float64)
 

@@ -38,10 +38,25 @@ class TestEmbeddingMatrix:
         assert sub.ids == ["c", "a"]
         np.testing.assert_array_equal(sub.data, np.eye(3)[[2, 0]])
 
-    def test_select_unknown_id(self):
-        m = EmbeddingMatrix(ids=["a"], data=np.ones((1, 2)))
+    def test_select_own_ids_returns_the_matrix(self):
+        m = EmbeddingMatrix(ids=["a", "b", "c"], data=np.eye(3))
+        assert m.select(["a", "b", "c"]) is m
+        assert m.select(iter(["a", "b", "c"])) is m
+
+    @pytest.mark.parametrize("ids", [["b", "a", "c"], ["a", "b"], ["a", "c"]])
+    def test_select_other_order_or_subset_copies(self, ids):
+        m = EmbeddingMatrix(ids=["a", "b", "c"], data=np.eye(3))
+        sub = m.select(ids)
+        assert sub is not m
+        assert sub.ids == ids
+        assert not np.shares_memory(sub.data, m.data)
+        np.testing.assert_array_equal(sub.data, np.eye(3)[[m.row_of(i) for i in ids]])
+
+    @pytest.mark.parametrize("ids", [["zz"], ["a", "zz"], ["a", "b", "zz"]])
+    def test_select_unknown_id(self, ids):
+        m = EmbeddingMatrix(ids=["a", "b"], data=np.ones((2, 2)))
         with pytest.raises(KeyError, match="no embedding for id 'zz'"):
-            m.select(["zz"])
+            m.select(ids)
 
     def test_data_coerced_to_float32(self):
         m = EmbeddingMatrix(ids=["a"], data=np.array([[1.0, 2.0]], dtype=np.float64))
@@ -480,13 +495,19 @@ class TestFetchEnvironment:
         fetch_vectors(["a#0"], ["hello"], url, attempts=1)
         assert state["requests"] == 1
 
-    def test_https_goes_through_connect_tunnel(self, embed_server, monkeypatch):
+    @pytest.mark.parametrize("endpoint, authority", [
+        ("https://user:pw@embed.invalid/embed", "embed.invalid:443"),
+        # an IPv6 host keeps its brackets, whatever http.client does with them
+        ("https://[::1]:8443/embed", "[::1]:8443"),
+    ])
+    def test_https_goes_through_connect_tunnel(self, embed_server, monkeypatch, endpoint,
+                                               authority):
         url, state = embed_server
         monkeypatch.setenv("HTTPS_PROXY", url.removesuffix("/embed"))
         with pytest.raises(RuntimeError, match="failed after 1 attempts: Tunnel connection failed"):
-            fetch_vectors(["a#0"], ["hello"], "https://user:pw@embed.invalid/embed", attempts=1)
-        [(method, target, _)] = state["seen"]
-        assert (method, target) == ("CONNECT", "embed.invalid:443")
+            fetch_vectors(["a#0"], ["hello"], endpoint, attempts=1)
+        [(method, target, headers)] = state["seen"]
+        assert (method, target, headers["Host"]) == ("CONNECT", authority, authority)
 
     def test_userinfo_credentials_stay_out_of_host(self, embed_server):
         url, state = embed_server

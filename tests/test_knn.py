@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,21 @@ class TestSearchArrays:
             for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
                 np.testing.assert_array_equal(rows, ref_rows)
                 np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
+
+    def test_default_tile_bounds_score_memory(self):
+        # each worker holds a tile's float64 scores and np.partition's copy,
+        # 2 x 8 x 128 x 2000 bytes at the default tile: 8 MB for two workers
+        # (35 MB with 512-row tiles)
+        rng = np.random.default_rng(5)
+        index = build(unit_matrix([str(i) for i in range(2000)], random_unit_matrix(rng, 2000, 32)))
+        queries = random_unit_matrix(rng, 2000, 32)
+        tracemalloc.start()
+        try:
+            search_arrays(index, queries, k=16, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_dim_mismatch(self):
         index = build(unit_matrix(["a"], [[1.0, 0.0]]))

@@ -10,6 +10,7 @@ from chunkalign.pooling import (
     build_idf,
     pool_document,
     tokenize,
+    unit_weights,
 )
 from oracles import pooled_oracle
 
@@ -98,6 +99,21 @@ class TestIdfTable:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty document list"):
             build_idf([])
+
+
+class TestUnitWeights:
+    def test_idf_sum_is_a_left_to_right_fold(self):
+        # idf(d) + idf(e) + idf(a) rounds to ...36dd from the left and to
+        # ...36de exactly (as compensated sums, like sum() from Python 3.12
+        # on, give it); the weight must not depend on the interpreter
+        table = IdfTable(doc_count=9, df={"a": 1, "d": 8})
+        idfs = [table.idf(token) for token in "dea"]
+        assert (idfs[0] + idfs[1]) + idfs[2] == float.fromhex("0x1.c11ccfc5a36ddp+2")
+        assert math.fsum(idfs) == float.fromhex("0x1.c11ccfc5a36dep+2")
+        [idf_weight] = unit_weights([("d e a", 3)], PoolingMethod.IDF, table)
+        assert idf_weight == float.fromhex("0x1.c11ccfc5a36ddp+2") / 3
+        [lidf_weight] = unit_weights([("d e a", 3)], PoolingMethod.LIDF, table)
+        assert lidf_weight == 3 * (float.fromhex("0x1.c11ccfc5a36ddp+2") / 3)
 
 
 class TestPoolDocument:
