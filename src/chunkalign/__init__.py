@@ -26,10 +26,9 @@ from .evaluation import (
     score,
     sweep_thresholds,
 )
-from .knn import FlatIndex
 from .miner import AlignedUnitPair, MarginParams, greedy_match, margin_scores, mine
 from .pooled import align_documents_pooled, pool_corpus
-from .pooling import IdfTable, PoolingMethod, build_idf, pool_document
+from .pooling import PoolingMethod, build_idf
 
 __all__ = [
     "AlignedUnitPair",
@@ -38,10 +37,8 @@ __all__ = [
     "Document",
     "EmbeddingMatrix",
     "EvalReport",
-    "FlatIndex",
     "GoldSet",
     "Granularity",
-    "IdfTable",
     "MarginParams",
     "NoiseConfig",
     "PoolingMethod",
@@ -59,7 +56,6 @@ __all__ = [
     "mine",
     "normalize",
     "pool_corpus",
-    "pool_document",
     "read_matrix",
     "score",
     "segment",

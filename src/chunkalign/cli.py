@@ -525,7 +525,9 @@ def main(argv=None) -> int:
     try:
         run(args, ctx)
     except Exception as exc:
-        print(f"chunkalign: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"chunkalign: error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -69,10 +69,7 @@ class ChunkUnit:
 
     unit_id: str
     doc_id: str
-    chunk_index: int
     text: str
-    sentence_count: int
-    token_count: int
 
 
 def load_corpus(manifest_path: str | Path) -> list[Document]:
@@ -132,21 +129,11 @@ def segment(doc: Document, g: Granularity) -> list[ChunkUnit]:
     come from make_unit_id, with chunk indices counted from zero.
     """
     size = g.sentences
-    units: list[ChunkUnit] = []
-    for index, start in enumerate(range(0, len(doc.sentences), size)):
-        group = doc.sentences[start:start + size]
-        text = JOINER.join(group)
-        units.append(
-            ChunkUnit(
-                unit_id=make_unit_id(doc.doc_id, index),
-                doc_id=doc.doc_id,
-                chunk_index=index,
-                text=text,
-                sentence_count=len(group),
-                token_count=len(text.split()),
-            )
-        )
-    return units
+    return [
+        ChunkUnit(make_unit_id(doc.doc_id, index), doc.doc_id,
+                  JOINER.join(doc.sentences[start:start + size]))
+        for index, start in enumerate(range(0, len(doc.sentences), size))
+    ]
 
 
 def parse_unit_id(unit_id: str) -> tuple[str, int]:

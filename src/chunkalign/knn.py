@@ -82,7 +82,6 @@ def search_arrays(
     queries: np.ndarray,
     k: int,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> tuple[Neighbors, Neighbors]:
     """Top-k in both directions.
 
@@ -91,9 +90,9 @@ def search_arrays(
     the side searched, so forward has min(k, index.size) columns and backward
     min(k, len(queries)).  Ties break by ascending row number.
 
-    Both directions are searched the same way: a tile of `block_size` rows of
-    one side is multiplied against all rows of the other, and `top_k` selects
-    from each complete row of the tile's scores.  The tiles of both
+    Both directions are searched the same way: a tile of DEFAULT_BLOCK_SIZE
+    rows of one side is multiplied against all rows of the other, and `top_k`
+    selects from each complete row of the tile's scores.  The tiles of both
     directions share one pool of `workers` threads.  No row's result is
     assembled from parts, so neither direction depends on `workers`.  A pair
     found in both directions comes from two GEMMs, x.y and y.x, so its two
@@ -106,8 +105,6 @@ def search_arrays(
         raise ValueError(f"k must be >= 1, got {k}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
     depth = min(k, index.size)
     if len(queries) == 0:
         return ((np.empty((0, depth)), np.empty((0, depth), dtype=np.int64)),
@@ -115,8 +112,8 @@ def search_arrays(
     queries64 = queries.astype(np.float64, copy=False)
 
     def tiles(rows: np.ndarray, against: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(rows[start:start + block_size], against)
-                for start in range(0, len(rows), block_size)]
+        return [(rows[start:start + DEFAULT_BLOCK_SIZE], against)
+                for start in range(0, len(rows), DEFAULT_BLOCK_SIZE)]
 
     def run(tile: tuple[np.ndarray, np.ndarray]) -> Neighbors:
         rows, against = tile

@@ -9,32 +9,35 @@ import numpy as np
 from .corpus import Document, make_unit_id
 from .embed_store import EmbeddingMatrix
 from .miner import AlignedUnitPair, MarginParams, mine
-from .pooling import IdfTable, PoolingMethod, build_idf, pool_rows, unit_weights
+from .pooling import PoolingMethod, build_idf, unit_weights
 
 
 def pool_corpus(
     documents: Sequence[Document],
     unit_embeddings: EmbeddingMatrix,
     method: PoolingMethod,
-    idf: IdfTable | None = None,
 ) -> EmbeddingMatrix:
-    """One pooled row per document, ids = doc ids, each as pool_document pools it.
+    """One row per document, ids = doc ids: the L2-normalized weighted sum of
+    its sentence rows, as float32.
 
     unit_embeddings must hold a normalized row for every sentence unit of every
-    document; idf, when the method needs it and none is passed, comes from them.
+    document.  IDF and LIDF take idf over these documents alone.
     """
     if not documents:
         raise ValueError("cannot pool an empty corpus")
-    if method.needs_idf and idf is None:
-        idf = build_idf(documents)
+    idf = build_idf(documents) if method.needs_idf else None
     ids = [make_unit_id(doc.doc_id, i) for doc in documents for i in range(len(doc.sentences))]
     rows = unit_embeddings.select(ids).data
-    weights = unit_weights([(s, len(s.split())) for doc in documents for s in doc.sentences],
-                           method, idf)
+    weights = unit_weights([s for doc in documents for s in doc.sentences], method, idf)
     # a document's rows are contiguous, so one split hands each its own
     cuts = np.cumsum([len(doc.sentences) for doc in documents])[:-1]
-    vectors = [pool_rows(r, w, doc.doc_id, method)
-               for doc, r, w in zip(documents, np.split(rows, cuts), np.split(weights, cuts))]
+    vectors = []
+    for doc, doc_rows, doc_weights in zip(documents, np.split(rows, cuts), np.split(weights, cuts)):
+        pooled = doc_rows.astype(np.float64).T @ doc_weights
+        norm = float(np.linalg.norm(pooled))
+        if norm == 0.0:
+            raise ValueError(f"pooled vector for doc {doc.doc_id!r} cancels to zero")
+        vectors.append((pooled / norm).astype(np.float32))
     return EmbeddingMatrix(ids=[doc.doc_id for doc in documents], data=np.vstack(vectors))
 
 

@@ -6,6 +6,10 @@ honest to be compared against.  They also hold the conversions between the
 miner's array candidates and plain (src_id, tgt_id, cosine, margin) tuples.
 """
 
+import math
+import unicodedata
+from collections import Counter
+
 import numpy as np
 
 from chunkalign.miner import AlignedUnitPair, Candidates
@@ -112,3 +116,25 @@ def pooled_oracle(rows, weights):
     for row, weight in zip(rows, weights):
         total += weight * np.asarray(row, dtype=np.float64)
     return total / np.linalg.norm(total)
+
+
+def pooling_weights_oracle(documents, method):
+    """Per document, the plain-loop weight of each sentence under a pooling
+    method ("mp", "lp", "idf" or "lidf"), with idf ln((1 + N) / (1 + df)) + 1
+    over the given documents."""
+    def tokens(sentence):
+        return [unicodedata.normalize("NFC", word) for word in sentence.split()]
+
+    df = Counter(token for doc in documents
+                 for token in {t for sentence in doc.sentences for t in tokens(sentence)})
+    idf = {token: math.log((1 + len(documents)) / (1 + count)) + 1 for token, count in df.items()}
+    weights = []
+    for doc in documents:
+        doc_weights = []
+        for sentence in doc.sentences:
+            words = tokens(sentence)
+            mean_idf = sum(idf[word] for word in words) / len(words)
+            doc_weights.append({"mp": 1.0, "lp": len(words), "idf": mean_idf,
+                                "lidf": len(words) * mean_idf}[method.value])
+        weights.append(doc_weights)
+    return weights

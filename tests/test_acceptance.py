@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chunkalign.corpus import Document, Granularity, segment
+from chunkalign.corpus import Document, Granularity
 from chunkalign.dac import (
     DocPairScore,
     align_documents_dac,
@@ -25,8 +25,8 @@ from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.evaluation import score, sweep_thresholds
 from chunkalign.knn import build, search_arrays
 from chunkalign.miner import MarginParams, greedy_match, margin_scores
-from chunkalign.pooled import align_documents_pooled
-from chunkalign.pooling import PoolingMethod, build_idf, pool_document, tokenize
+from chunkalign.pooled import align_documents_pooled, pool_corpus
+from chunkalign.pooling import PoolingMethod
 from conftest import random_unit_matrix
 from oracles import (
     brute_force_topk,
@@ -34,6 +34,7 @@ from oracles import (
     candidates_from_tuples,
     margin_oracle,
     pooled_oracle,
+    pooling_weights_oracle,
 )
 from synth import planted_corpus
 from test_cli import align_argv, run_cli, write_corpus, write_gold
@@ -159,33 +160,28 @@ def test_06_pooling_invariants(capsys):
                 for _ in range(int(rng.integers(1, 7)))
             )
             docs.append(Document(doc_id=f"doc{d}", lang="xx", sentences=sentences))
-        idf = build_idf(docs)
-        for doc in docs:
-            units = segment(doc, Granularity(1))
-            rows = random_unit_matrix(rng, len(units), 16)
-            perm = rng.permutation(len(units))
-            for method in PoolingMethod:
-                table = idf if method.needs_idf else None
-                pooled = pool_document(units, rows, method, idf=table)
-                if method is PoolingMethod.MP:
-                    weights = [1.0] * len(units)
-                elif method is PoolingMethod.LP:
-                    weights = [u.token_count for u in units]
-                else:
-                    means = [
-                        sum(idf.idf(t) for t in tokenize(u.text)) / u.token_count
-                        for u in units
-                    ]
-                    if method is PoolingMethod.IDF:
-                        weights = means
-                    else:
-                        weights = [u.token_count * m for u, m in zip(units, means)]
-                expected = pooled_oracle(rows, weights)
-                np.testing.assert_allclose(pooled, expected, atol=1e-6)
-                assert abs(np.linalg.norm(pooled.astype(np.float64)) - 1.0) < 1e-6
-                shuffled = pool_document([units[i] for i in perm], rows[perm],
-                                         method, idf=table)
-                np.testing.assert_allclose(pooled, shuffled, atol=1e-6)
+        rows = {doc.doc_id: random_unit_matrix(rng, len(doc.sentences), 16) for doc in docs}
+        perms = {doc.doc_id: rng.permutation(len(doc.sentences)) for doc in docs}
+        # each document's sentences, and their rows, in another order
+        shuffled_docs = [Document(doc.doc_id, doc.lang,
+                                  tuple(doc.sentences[i] for i in perms[doc.doc_id]))
+                         for doc in docs]
+        shuffled_rows = {doc_id: r[perms[doc_id]] for doc_id, r in rows.items()}
+
+        def matrix(docs, rows):
+            return EmbeddingMatrix(
+                ids=[f"{doc.doc_id}#{i}" for doc in docs for i in range(len(doc.sentences))],
+                data=np.vstack([rows[doc.doc_id] for doc in docs]))
+
+        for method in PoolingMethod:
+            pooled = pool_corpus(docs, matrix(docs, rows), method)
+            shuffled = pool_corpus(shuffled_docs, matrix(shuffled_docs, shuffled_rows), method)
+            for doc, row, shuffled_row, weights in zip(docs, pooled.data, shuffled.data,
+                                                       pooling_weights_oracle(docs, method)):
+                np.testing.assert_allclose(row, pooled_oracle(rows[doc.doc_id], weights),
+                                           atol=1e-6)
+                assert abs(np.linalg.norm(row.astype(np.float64)) - 1.0) < 1e-6
+                np.testing.assert_allclose(row, shuffled_row, atol=1e-6)
 
 
 def test_07_cli_worker_determinism(tmp_path, capsys):
@@ -292,3 +288,22 @@ def test_09_embedding_store_round_trip(tmp_path, capsys):
         corrupt(lambda b: b.extend(b"\x00"))
         corrupt(lambda b: b.__delitem__(slice(struct.calcsize("<4sHIQ") + 1,
                                               struct.calcsize("<4sHIQ") + 5)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_10_dac_beats_pooling_on_noisy_corpus(seed, capsys):
+    # the paper's claim: with part of each side's chunks replaced and noise
+    # documents that are not orthogonal to the planted ones, chunk-level dac
+    # recovers more gold pairs than any pooled baseline
+    with criterion(f"dac beats pooling, seed {seed}", capsys):
+        src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
+            n_pairs=60, chunks_per_doc=6, n_noise=30, perturbation=0.8, replace_frac=0.3,
+            orthogonal_noise=False, dim=64, seed=seed)
+        params = MarginParams(k=8)
+        chosen = align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(1),
+                                     params)
+        dac_recall = score([(s.src_doc, s.tgt_doc) for s in chosen], gold).recall
+        for method in PoolingMethod:
+            pooled = align_documents_pooled(src_docs, tgt_docs, src_emb, tgt_emb, method, params)
+            pooled_recall = score([(p.src_id, p.tgt_id) for p in pooled], gold).recall
+            assert dac_recall > pooled_recall, method

@@ -223,7 +223,9 @@ class TestAlignDac:
         argv = align_argv(aligned_setup, aligned_setup["root"] / "rt")
         argv[argv.index("--src-embeddings") + 1] = str(truncated_path)
         assert run_cli(argv) == 2
-        assert "chunkalign: error" in capsys.readouterr().err
+        # the bare message, not str(KeyError)'s quoted repr of it
+        missing = full.ids[-1]
+        assert capsys.readouterr().err == f"chunkalign: error: no embedding for id {missing!r}\n"
 
 
 class TestVerbose:

@@ -112,7 +112,7 @@ class TestSegment:
 
     def test_seven_sentences_at_g2(self):
         units = segment(self.doc(7), Granularity(2))
-        assert [u.sentence_count for u in units] == [2, 2, 2, 1]
+        assert [u.text.count("tok") for u in units] == [2, 2, 2, 1]
         assert [u.unit_id for u in units] == ["d#0", "d#1", "d#2", "d#3"]
         assert units[0].text == "s0 tok s1 tok"
         assert units[3].text == "s6 tok"
@@ -121,17 +121,16 @@ class TestSegment:
         doc = self.doc(4)
         units = segment(doc, Granularity(1))
         assert [u.text for u in units] == list(doc.sentences)
-        assert all(u.sentence_count == 1 for u in units)
+        assert all(u.doc_id == "d" for u in units)
 
     def test_granularity_larger_than_doc(self):
         units = segment(self.doc(3), Granularity(8))
         assert len(units) == 1
-        assert units[0].sentence_count == 3
+        assert units[0].text == "s0 tok s1 tok s2 tok"
 
-    def test_token_counts(self):
+    def test_chunk_text_joins_sentences(self):
         doc = Document(doc_id="d", lang="en", sentences=("a b c", "d e"))
         (unit,) = segment(doc, Granularity(2))
-        assert unit.token_count == 5
         assert unit.text == "a b c d e"
 
     def test_reconstruction_property(self):
@@ -149,17 +148,18 @@ class TestSegment:
             for g in (1, 2, 3, 4, 8):
                 units = segment(doc, Granularity(g))
                 assert len(units) == -(-n // g)
-                assert sum(u.sentence_count for u in units) == n
+                assert [u.text for u in units] == [" ".join(doc.sentences[i:i + g])
+                                                   for i in range(0, n, g)]
                 assert " ".join(u.text for u in units) == " ".join(doc.sentences)
-                assert [u.chunk_index for u in units] == list(range(len(units)))
+                assert [u.unit_id for u in units] == [f"d#{i}" for i in range(len(units))]
                 assert units == segment(doc, Granularity(g))
 
 
 class TestParseUnitId:
     def test_round_trip(self):
         doc = Document(doc_id="weird#doc", lang="en", sentences=("a", "b", "c"))
-        for unit in segment(doc, Granularity(2)):
-            assert parse_unit_id(unit.unit_id) == (unit.doc_id, unit.chunk_index)
+        for index, unit in enumerate(segment(doc, Granularity(2))):
+            assert parse_unit_id(unit.unit_id) == (unit.doc_id, index)
 
     @pytest.mark.parametrize("bad", ["nohash", "d#", "#3", "d#x", "d#-1", "d#1_0"])
     def test_malformed(self, bad):
@@ -170,8 +170,8 @@ class TestParseUnitId:
 class TestUnitsTsv:
     def test_round_trip_preserves_tabs_in_text(self, tmp_path):
         units = [
-            ChunkUnit("d#0", "d", 0, "plain text", 1, 2),
-            ChunkUnit("d#1", "d", 1, "text\twith tab", 1, 3),
+            ChunkUnit("d#0", "d", "plain text"),
+            ChunkUnit("d#1", "d", "text\twith tab"),
         ]
         path = tmp_path / "units.tsv"
         write_units_tsv(units, path)

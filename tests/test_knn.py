@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkalign import knn
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.knn import build, search_arrays, top_k
 from conftest import random_unit_matrix
@@ -14,6 +16,11 @@ from oracles import brute_force_topk
 def unit_matrix(ids, rows):
     data = np.asarray(rows, dtype=np.float32)
     return EmbeddingMatrix(ids=list(ids), data=data)
+
+
+def tiles_of(rows):
+    """Search in tiles of `rows` rows instead of the default."""
+    return mock.patch.object(knn, "DEFAULT_BLOCK_SIZE", rows)
 
 
 class TestBuild:
@@ -83,7 +90,8 @@ class TestSearchArrays:
         np.testing.assert_array_equal(rows, [[0, 1, 2]])
         assert np.all(scores == scores[0, 0])
         # the same ties seen from the index side, across tiles of one query
-        _, (_, back_rows) = search_arrays(index, np.stack([row] * 5), k=3, block_size=2)
+        with tiles_of(2):
+            _, (_, back_rows) = search_arrays(index, np.stack([row] * 5), k=3)
         np.testing.assert_array_equal(back_rows, [[0, 1, 2]] * 3)
 
     def test_k_prefix_consistency(self):
@@ -103,9 +111,10 @@ class TestSearchArrays:
         base = random_unit_matrix(rng, 120, 16)
         queries = random_unit_matrix(rng, 300, 16)
         index = build(unit_matrix([str(i) for i in range(120)], base))
-        reference = search_arrays(index, queries, k=9, workers=1, block_size=64)
-        for workers in (2, 4, 8):
-            result = search_arrays(index, queries, k=9, workers=workers, block_size=64)
+        with tiles_of(64):
+            reference = search_arrays(index, queries, k=9, workers=1)
+            results = [search_arrays(index, queries, k=9, workers=workers) for workers in (2, 4, 8)]
+        for result in results:
             for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
                 np.testing.assert_array_equal(rows, ref_rows)
                 assert scores.tobytes() == ref_scores.tobytes()
@@ -119,7 +128,8 @@ class TestSearchArrays:
         index = build(unit_matrix([str(i) for i in range(120)], base))
         reference = search_arrays(index, queries, k=9)
         for block_size in (1, 17, 64, 301):
-            result = search_arrays(index, queries, k=9, workers=3, block_size=block_size)
+            with tiles_of(block_size):
+                result = search_arrays(index, queries, k=9, workers=3)
             for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
                 np.testing.assert_array_equal(rows, ref_rows)
                 np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
@@ -154,12 +164,6 @@ class TestSearchArrays:
         q = np.array([[1.0, 0.0]], dtype=np.float32)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             search_arrays(index, q, k=1, workers=0)
-
-    def test_bad_block_size(self):
-        index = build(unit_matrix(["a"], [[1.0, 0.0]]))
-        q = np.array([[1.0, 0.0]], dtype=np.float32)
-        with pytest.raises(ValueError, match="block_size must be >= 1"):
-            search_arrays(index, q, k=1, block_size=0)
 
     def test_zero_queries(self):
         index = build(unit_matrix(["a", "b", "c"], np.eye(3)))
@@ -227,8 +231,9 @@ class TestSearchProperties:
     def test_both_directions_match_brute_force(self, case, block_size):
         base, queries, k = case
         index = build(unit_matrix([str(i) for i in range(len(base))], base))
-        (scores, rows), (back_scores, back_rows) = search_arrays(
-            index, queries, k=k, workers=2, block_size=block_size)
+        with tiles_of(block_size):
+            (scores, rows), (back_scores, back_rows) = search_arrays(index, queries, k=k,
+                                                                     workers=2)
         exp_scores, exp_rows = brute_force_topk(base, queries, k)
         np.testing.assert_array_equal(rows, exp_rows)
         np.testing.assert_array_equal(scores, exp_scores)
@@ -242,15 +247,17 @@ class TestSearchProperties:
         base, queries, k = case
         index = build(unit_matrix([str(i) for i in range(len(base))], base))
         for block_size in (1, 7, 512):
-            reference = search_arrays(index, queries, k=k, workers=1, block_size=block_size)
-            for workers in (2, 3):
-                result = search_arrays(index, queries, k=k, workers=workers,
-                                       block_size=block_size)
-                for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
-                    assert rows.tobytes() == ref_rows.tobytes()
-                    assert scores.tobytes() == ref_scores.tobytes()
-        baseline = search_arrays(index, queries, k=k, block_size=512)
+            with tiles_of(block_size):
+                reference = search_arrays(index, queries, k=k, workers=1)
+                for workers in (2, 3):
+                    result = search_arrays(index, queries, k=k, workers=workers)
+                    for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
+                        assert rows.tobytes() == ref_rows.tobytes()
+                        assert scores.tobytes() == ref_scores.tobytes()
+        with tiles_of(512):
+            baseline = search_arrays(index, queries, k=k)
         for block_size in (1, 7):
-            result = search_arrays(index, queries, k=k, block_size=block_size)
+            with tiles_of(block_size):
+                result = search_arrays(index, queries, k=k)
             for (_, rows), (_, ref_rows) in zip(result, baseline):
                 np.testing.assert_array_equal(rows, ref_rows)

@@ -6,7 +6,8 @@ from chunkalign.dac import align_documents_dac
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import MarginParams
 from chunkalign.pooled import align_documents_pooled, pool_corpus
-from chunkalign.pooling import IdfTable, PoolingMethod, build_idf, pool_document
+from chunkalign.pooling import PoolingMethod
+from oracles import pooled_oracle, pooling_weights_oracle
 from synth import planted_corpus
 
 
@@ -35,6 +36,13 @@ class TestPoolCorpus:
         pooled = pool_corpus(src_docs, src_emb, PoolingMethod.LIDF)
         assert len(pooled) == 3
 
+    def test_cancellation_names_doc(self):
+        docs = [Document("fine", "xx", ("one", "two")), Document("cancel", "xx", ("a", "b"))]
+        emb = EmbeddingMatrix(ids=["fine#0", "fine#1", "cancel#0", "cancel#1"],
+                              data=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match="pooled vector for doc 'cancel' cancels to zero"):
+            pool_corpus(docs, emb, PoolingMethod.MP)
+
 
 # decomposed accents (NFD) that NFC composes, a doc id holding '#', tokens
 # shared across documents and a one-sentence document
@@ -55,59 +63,19 @@ def shuffled_unit_matrix(docs, seed, dim=6):
     return EmbeddingMatrix(ids=[ids[i] for i in perm], data=rows[perm])
 
 
-class TestPoolCorpusMatchesPoolDocument:
-    @pytest.mark.parametrize("method, table", [
-        (PoolingMethod.MP, None), (PoolingMethod.LP, None),
-        (PoolingMethod.IDF, "own"), (PoolingMethod.IDF, "foreign"),
-        (PoolingMethod.LIDF, "own"), (PoolingMethod.LIDF, "foreign"),
-    ])
+class TestPoolCorpusMatchesOracle:
+    @pytest.mark.parametrize("method", list(PoolingMethod))
     @pytest.mark.parametrize("corpus", ["nfd", "planted"])
-    def test_bit_equal_to_per_document_loop(self, method, table, corpus):
+    def test_matches_plain_loop_oracle(self, method, corpus):
         if corpus == "nfd":
             docs, emb = NFD_DOCS, shuffled_unit_matrix(NFD_DOCS, seed=3)
         else:
             docs, _, emb, _, _ = planted_corpus(n_pairs=6, chunks_per_doc=4, n_noise=2)
-        if table is None:
-            passed = expected_idf = None
-        elif table == "own":  # pool_corpus builds it from the documents
-            passed, expected_idf = None, build_idf(docs)
-        else:  # a table from another corpus lacks most of these documents' tokens
-            passed = expected_idf = build_idf([
-                Document("z", "xx", ("unrelated words", "café lait")),
-                Document("y", "xx", ("words only",)),
-            ])
-        pooled = pool_corpus(docs, emb, method, idf=passed)
+        pooled = pool_corpus(docs, emb, method)
         assert pooled.ids == [doc.doc_id for doc in docs]
-        for doc, row in zip(docs, pooled.data):
-            units = segment(doc, Granularity(1))
-            rows = emb.select([u.unit_id for u in units]).data
-            expected = pool_document(units, rows, method, idf=expected_idf)
-            assert row.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("method", [PoolingMethod.MP, PoolingMethod.LP])
-    def test_idf_table_rejected_for_plain_methods(self, method):
-        idf = build_idf(NFD_DOCS)
-        with pytest.raises(ValueError, match=f"{method.name} pooling does not take an idf table"):
-            pool_corpus(NFD_DOCS, shuffled_unit_matrix(NFD_DOCS, seed=3), method, idf=idf)
-
-    def test_all_zero_weights_names_doc(self):
-        # a built table gives every token an idf of at least 1, so only a
-        # table whose idf is zero everywhere can zero a document's weights
-        class ZeroIdf(IdfTable):
-            def idf(self, token):
-                return 0.0
-
-        with pytest.raises(ValueError, match="all unit weights are zero for doc 'a' under IDF"):
-            pool_corpus(NFD_DOCS, shuffled_unit_matrix(NFD_DOCS, seed=3), PoolingMethod.IDF,
-                        idf=ZeroIdf(doc_count=1, df={}))
-
-    def test_cancellation_names_doc(self):
-        docs = [Document("fine", "xx", ("one", "two")), Document("cancel", "xx", ("a", "b"))]
-        emb = EmbeddingMatrix(ids=["fine#0", "fine#1", "cancel#0", "cancel#1"],
-                              data=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError, match="pooled vector for doc 'cancel' cancels to zero"):
-            pool_corpus(docs, emb, PoolingMethod.MP)
-
+        for doc, row, weights in zip(docs, pooled.data, pooling_weights_oracle(docs, method)):
+            rows = emb.select([u.unit_id for u in segment(doc, Granularity(1))]).data
+            np.testing.assert_allclose(row, pooled_oracle(rows, weights), atol=1e-6)
 
 class TestAlignDocumentsPooled:
     def test_identical_corpora_twin_recovery(self):

@@ -1,6 +1,5 @@
 """Hypothesis properties of the .demb reader, tokenize and the whole dac path."""
 
-import functools
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -74,6 +73,8 @@ class TestTokenize:
     @settings(max_examples=500, deadline=None)
     def test_one_nfc_pass_equals_nfc_per_token(self, text):
         assert tokenize(text) == [unicodedata.normalize("NFC", t) for t in text.split()]
+        # LP counts a sentence's tokens with split(), LIDF with tokenize()
+        assert len(tokenize(text)) == len(text.split())
 
 
 def quantized(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -117,8 +118,7 @@ class TestAlignDocumentsDacProperties:
         assert all(threshold <= s.dac <= 1.0 for s in chosen)
 
         # small tiles split the search into several tiles, and so into lanes
-        tiled = functools.partial(knn.search_arrays, block_size=block_size)
-        with mock.patch.object(knn, "search_arrays", tiled):
+        with mock.patch.object(knn, "DEFAULT_BLOCK_SIZE", block_size):
             for workers in (1, 2, 3):
                 assert align(src_docs, tgt_docs, workers) == chosen
 
