@@ -11,7 +11,7 @@ import pytest
 import chunkalign
 from chunkalign.cli import main
 from chunkalign.corpus import load_corpus
-from chunkalign.embed_store import normalize, read_matrix, write_matrix
+from chunkalign.embed_store import EmbeddingMatrix, normalize, read_matrix, write_matrix
 from chunkalign.miner import MarginParams, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
@@ -217,7 +217,6 @@ class TestAlignDac:
     def test_incomplete_embeddings_is_runtime_error(self, aligned_setup, capsys):
         full = read_matrix(aligned_setup["src_emb"])
         truncated_path = aligned_setup["root"] / "short.demb"
-        from chunkalign.embed_store import EmbeddingMatrix
         write_matrix(EmbeddingMatrix(ids=full.ids[:-1], data=full.data[:-1]),
                      truncated_path)
         argv = align_argv(aligned_setup, aligned_setup["root"] / "rt")
@@ -301,6 +300,22 @@ class TestAlignPooled:
         assert run_cli(align_argv(aligned_setup, out_dir, "--mode", "pooled",
                                   "--min-margin", repr(floor))) == 0
         assert (out_dir / "pairs.tsv").read_bytes() == expected_path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["pooled", "pool"])
+    def test_incomplete_embeddings_is_runtime_error(self, aligned_setup, capsys, command):
+        full = read_matrix(aligned_setup["src_emb"])
+        truncated_path = aligned_setup["root"] / "short_pooled.demb"
+        write_matrix(EmbeddingMatrix(ids=full.ids[:-1], data=full.data[:-1]), truncated_path)
+        out = aligned_setup["root"] / f"rt_{command}"
+        if command == "pool":
+            argv = ["pool", "--manifest", str(aligned_setup["src_manifest"]),
+                    "--embeddings", str(truncated_path), "--out", str(out)]
+        else:
+            argv = align_argv(aligned_setup, out, "--mode", "pooled")
+            argv[argv.index("--src-embeddings") + 1] = str(truncated_path)
+        assert run_cli(argv) == 2
+        missing = full.ids[-1]
+        assert capsys.readouterr().err == f"chunkalign: error: no embedding for id {missing!r}\n"
 
 
 class TestNonFiniteEmbeddings:

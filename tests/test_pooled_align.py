@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,35 @@ class TestPoolCorpus:
                               data=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match="pooled vector for doc 'cancel' cancels to zero"):
             pool_corpus(docs, emb, PoolingMethod.MP)
+
+    @pytest.mark.parametrize("method", list(PoolingMethod))
+    def test_extra_and_shuffled_rows_change_nothing(self, method):
+        # rows of units outside the documents, and any row order, leave every
+        # pooled vector bit-identical
+        docs, _, emb, _, _ = planted_corpus(n_pairs=4, chunks_per_doc=3, n_noise=1)
+        extra = np.eye(emb.dim, dtype=np.float32)[:2]
+        perm = np.random.default_rng(4).permutation(len(emb) + 2)
+        ids = emb.ids + ["other#0", "other#1"]
+        padded = EmbeddingMatrix(ids=[ids[i] for i in perm],
+                                 data=np.vstack([emb.data, extra])[perm])
+        expected = pool_corpus(docs, emb, method)
+        assert pool_corpus(docs, padded, method).data.tobytes() == expected.data.tobytes()
+
+    def test_idf_is_taken_over_the_pooled_documents(self):
+        # a document that shares "alpha" lowers its idf, which moves doc a's
+        # IDF vector towards its other sentence; mean pooling does not move
+        docs = [Document("a", "xx", ("alpha", "beta")), Document("b", "xx", ("gamma",))]
+        more = docs + [Document("c", "xx", ("alpha",))]
+        emb = EmbeddingMatrix(ids=["a#0", "a#1", "b#0", "c#0"],
+                              data=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        for method in (PoolingMethod.MP, PoolingMethod.LP):
+            assert (pool_corpus(docs, emb, method).data[0].tobytes()
+                    == pool_corpus(more, emb, method).data[0].tobytes())
+        for method in (PoolingMethod.IDF, PoolingMethod.LIDF):
+            alone = pool_corpus(docs, emb, method).data[0]
+            shared = pool_corpus(more, emb, method).data[0]
+            np.testing.assert_allclose(alone, [math.sqrt(0.5)] * 2, atol=1e-7)
+            assert shared[0] < shared[1]
 
 
 # decomposed accents (NFD) that NFC composes, a doc id holding '#', tokens

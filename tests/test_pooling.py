@@ -78,6 +78,36 @@ class TestBuildIdf:
         with pytest.raises(ValueError, match="empty document list"):
             build_idf([])
 
+    def test_df_counts_a_document_once_across_its_sentences(self):
+        docs = [
+            Document("a", "xx", ("x y", "x", "y x")),
+            Document("b", "xx", ("z",)),
+        ]
+        idf = build_idf(docs)
+        assert idf["x"] == math.log(3 / 2) + 1
+
+    def test_nfd_and_nfc_spellings_are_one_token(self):
+        docs = [
+            Document("a", "xx", ("cafe\u0301",)),
+            Document("b", "xx", ("caf\u00e9",)),
+            Document("c", "xx", ("lait",)),
+        ]
+        idf = build_idf(docs)
+        assert set(idf) == {"caf\u00e9", "lait"}
+        assert idf["caf\u00e9"] == math.log(4 / 3) + 1
+
+    def test_every_token_of_the_documents_has_idf_at_least_one(self):
+        # df never exceeds N, so no own-side idf, and no IDF or LIDF weight,
+        # can be zero
+        rng = np.random.default_rng(11)
+        vocab = [f"w{i}" for i in range(30)]
+        docs = [Document(str(d), "xx", tuple(" ".join(rng.choice(vocab, rng.integers(1, 6)))
+                                             for _ in range(rng.integers(1, 4))))
+                for d in range(12)]
+        idf = build_idf(docs)
+        assert set(idf) == {t for doc in docs for s in doc.sentences for t in tokenize(s)}
+        assert min(idf.values()) >= 1.0
+
 
 class TestUnitWeights:
     def test_idf_sum_is_a_left_to_right_fold(self):
@@ -92,6 +122,27 @@ class TestUnitWeights:
         assert idf_weight == float.fromhex("0x1.e7cc8fb2fe614p+1") / 3
         [lidf_weight] = unit_weights(["a b c"], PoolingMethod.LIDF, idf)
         assert lidf_weight == 3 * (float.fromhex("0x1.e7cc8fb2fe614p+1") / 3)
+
+    def test_mp_weights_are_ones(self):
+        weights = unit_weights(["a b", "c"], PoolingMethod.MP, None)
+        assert weights.dtype == np.float64
+        assert weights.tolist() == [1.0, 1.0]
+
+    def test_lp_counts_whitespace_tokens(self):
+        weights = unit_weights(["a  b\tc\n", "d"], PoolingMethod.LP, None)
+        assert weights.dtype == np.float64
+        assert weights.tolist() == [3.0, 1.0]
+
+    def test_idf_is_mean_and_lidf_is_count_times_mean(self):
+        idf = {"a": 1.0, "b": 2.0, "c": 4.5}
+        assert unit_weights(["a b", "c a c"], PoolingMethod.IDF, idf).tolist() == [1.5, 10.0 / 3]
+        assert unit_weights(["a b", "c a c"], PoolingMethod.LIDF, idf).tolist() == [
+            2 * 1.5, 3 * (10.0 / 3)]
+
+    def test_nfd_token_reads_its_nfc_idf(self):
+        idf = {"caf\u00e9": 2.5, "noir": 1.0}
+        assert unit_weights(["cafe\u0301 noir"], PoolingMethod.IDF, idf).tolist() == [1.75]
+        assert unit_weights(["cafe\u0301 noir"], PoolingMethod.LP, None).tolist() == [2.0]
 
 
 class TestPooledVector:

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalign import knn
-from chunkalign.corpus import Granularity
+from chunkalign.corpus import Document, Granularity
 from chunkalign.dac import align_documents_dac
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.miner import MarginParams
-from chunkalign.pooling import tokenize
+from chunkalign.pooling import PoolingMethod, build_idf, tokenize, unit_weights
 from synth import planted_corpus
 
 
@@ -75,6 +75,24 @@ class TestTokenize:
         assert tokenize(text) == [unicodedata.normalize("NFC", t) for t in text.split()]
         # LP counts a sentence's tokens with split(), LIDF with tokenize()
         assert len(tokenize(text)) == len(text.split())
+
+
+class TestUnitWeightsProperties:
+    @given(st.lists(st.lists(st.text(st.sampled_from(_NFC_EDGE_CHARS) | st.characters(),
+                                     max_size=12).filter(str.strip),
+                             min_size=1, max_size=4),
+                    min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_own_side_weights_are_positive(self, sentences_per_doc):
+        # pool_corpus has no zero-weight check: Document rejects blank
+        # sentences, and every token's own-side idf is at least 1
+        docs = [Document(f"d{i}", "xx", tuple(s)) for i, s in enumerate(sentences_per_doc)]
+        idf = build_idf(docs)
+        texts = [s for doc in docs for s in doc.sentences]
+        for method in PoolingMethod:
+            weights = unit_weights(texts, method, idf if method.needs_idf else None)
+            assert len(weights) == len(texts)
+            assert np.all(weights >= 1.0), method
 
 
 def quantized(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
