@@ -344,6 +344,7 @@ def _load_side(manifest: str, noise_manifest: str | None, ratio: float, seed: in
 
 
 def _prepare_align_inputs(args) -> dict:
+    params = MarginParams(k=args.k, min_margin=args.min_margin)
     _require_file(args.src_manifest, "source manifest")
     _require_file(args.tgt_manifest, "target manifest")
     _require_file(args.src_embeddings, "source embeddings file")
@@ -360,6 +361,7 @@ def _prepare_align_inputs(args) -> dict:
         _require_file(args.gold, "gold file")
         gold = load_gold(args.gold)
     return {
+        "params": params,
         "src_docs": src_docs,
         "tgt_docs": tgt_docs,
         "src_matrix": normalize(read_matrix(args.src_embeddings)),
@@ -432,7 +434,7 @@ def _run_align(args, ctx) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _align_run_config(args, "align").write(out_dir)
-    params = MarginParams(k=args.k, min_margin=args.min_margin)
+    params = ctx["params"]
     if args.mode == "dac":
         pairs, scores = mine_chunk_pairs(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
@@ -467,7 +469,7 @@ def _run_sweep(args, ctx) -> None:
     _align_run_config(args, "sweep").write(out_dir)
     _, scores = mine_chunk_pairs(
         ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-        args.granularity, MarginParams(k=args.k, min_margin=args.min_margin), args.workers,
+        args.granularity, ctx["params"], args.workers,
     )
     reports = sweep_thresholds(scores, ctx["gold"], args.thresholds, one_to_one=not args.keep_all)
     report_path = out_dir / f"reports.{args.format}"

@@ -125,6 +125,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ratio):
+            raise ValueError(f"noise ratio must be finite, got {self.ratio}")
         if self.ratio < 0:
             raise ValueError(f"noise ratio must be >= 0, got {self.ratio}")
 

@@ -24,7 +24,7 @@ Neighbors = tuple[np.ndarray, np.ndarray]
 class FlatIndex:
     """Exact flat index; scores are inner products, i.e. cosines for unit rows."""
 
-    data: np.ndarray  # float64 rows
+    data: np.ndarray  # the matrix's own float32 rows
 
     @property
     def size(self) -> int:
@@ -36,13 +36,14 @@ class FlatIndex:
 
 
 def build(matrix: EmbeddingMatrix) -> FlatIndex:
-    """Index a normalized matrix; empty or unnormalized input is rejected."""
+    """Index a normalized matrix; empty or unnormalized input is rejected.
+
+    The index shares the matrix's float32 rows; norms are summed in float64
+    without a float64 copy of the rows.
+    """
     if len(matrix) == 0:
         raise ValueError("cannot index an empty matrix")
-    # Scores are computed in float64 so near-tie rankings never depend on
-    # block or worker layout.
-    data64 = matrix.data.astype(np.float64)
-    norms = np.linalg.norm(data64, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix.data, matrix.data, dtype=np.float64))
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
     if bad.size:
         row = int(bad[0])
@@ -50,7 +51,7 @@ def build(matrix: EmbeddingMatrix) -> FlatIndex:
             f"row {matrix.ids[row]!r} is not normalized (norm {norms[row]:.6f}); "
             "normalize before indexing"
         )
-    return FlatIndex(data=data64)
+    return FlatIndex(data=matrix.data)
 
 
 def top_k(scores: np.ndarray, depth: int) -> Neighbors:
@@ -62,8 +63,16 @@ def top_k(scores: np.ndarray, depth: int) -> Neighbors:
     exact.  Returns (scores, columns), each of shape (rows, depth); depth
     must lie in [1, width].
     """
+    return _top_k(scores, depth, np.empty(scores.shape))
+
+
+def _top_k(scores: np.ndarray, depth: int, scratch: np.ndarray) -> Neighbors:
+    """top_k, partitioning a copy of the scores in `scratch`, a float64
+    array of their shape that the caller may reuse."""
     count, width = scores.shape
-    kth = np.partition(scores, width - depth, axis=1)[:, width - depth]
+    np.copyto(scratch, scores)
+    scratch.partition(width - depth, axis=1)
+    kth = scratch[:, width - depth]
     rows, cols = np.divmod(np.flatnonzero(scores >= kth[:, None]), width)
     # lay each row's candidates (at least `depth`, more only on ties) out in
     # one padded row, so that one lexsort along axis 1 orders every row
@@ -90,10 +99,10 @@ def search_arrays(
     the side searched, so forward has min(k, index.size) columns and backward
     min(k, len(queries)).  Ties break by ascending row number.
 
-    Both directions are searched the same way: a tile of DEFAULT_BLOCK_SIZE
-    rows of one side is multiplied against all rows of the other, and `top_k`
-    selects from each complete row of the tile's scores.  The tiles of both
-    directions share one pool of `workers` threads.  No row's result is
+    Both directions are searched the same way, one after the other in one
+    pool of `workers` threads: a tile of DEFAULT_BLOCK_SIZE rows of one side
+    is multiplied in float64 against all rows of the other, and `top_k`
+    selects from each complete row of the tile's scores.  No row's result is
     assembled from parts, so neither direction depends on `workers`.  A pair
     found in both directions comes from two GEMMs, x.y and y.x, so its two
     scores may differ in the last ulp.
@@ -109,18 +118,38 @@ def search_arrays(
     if len(queries) == 0:
         return ((np.empty((0, depth)), np.empty((0, depth), dtype=np.int64)),
                 (np.empty((index.size, 0)), np.empty((index.size, 0), dtype=np.int64)))
-    queries64 = queries.astype(np.float64, copy=False)
-
-    def tiles(rows: np.ndarray, against: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(rows[start:start + DEFAULT_BLOCK_SIZE], against)
-                for start in range(0, len(rows), DEFAULT_BLOCK_SIZE)]
-
-    def run(tile: tuple[np.ndarray, np.ndarray]) -> Neighbors:
-        rows, against = tile
-        return top_k(rows @ against.T, min(k, len(against)))
-
-    forward_tiles = tiles(queries64, index.data)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, forward_tiles + tiles(index.data, queries64)))
-    forward, backward = results[:len(forward_tiles)], results[len(forward_tiles):]
-    return tuple(map(np.vstack, zip(*forward))), tuple(map(np.vstack, zip(*backward)))
+        forward = _search(pool, workers, queries, index.data, k)
+        backward = _search(pool, workers, index.data, queries, k)
+    return forward, backward
+
+
+def _search(pool: ThreadPoolExecutor, workers: int, rows: np.ndarray, against: np.ndarray,
+            k: int) -> Neighbors:
+    """Each row's top-k rows of `against`, one tile of rows at a time.
+
+    `against` is upcast to float64 once and each tile when it is used;
+    upcasting is exact, so the scores are those of an all-float64 search.
+    Worker w takes tiles w, w + workers, ... and reuses one scores buffer and
+    one partition buffer for them, 2 x 8 x DEFAULT_BLOCK_SIZE x len(against)
+    bytes, writing each tile's result into its rows of the output.
+    """
+    against64 = against.astype(np.float64, copy=False)
+    depth = min(k, len(against))
+    scores = np.empty((len(rows), depth))
+    neighbors = np.empty((len(rows), depth), dtype=np.int64)
+    starts = range(0, len(rows), DEFAULT_BLOCK_SIZE)
+    height = min(DEFAULT_BLOCK_SIZE, len(rows))
+
+    def run(first: int) -> None:
+        tile_scores = np.empty((height, len(against)))
+        scratch = np.empty_like(tile_scores)
+        for start in starts[first::workers]:
+            tile = rows[start:start + DEFAULT_BLOCK_SIZE].astype(np.float64, copy=False)
+            out = tile_scores[:len(tile)]
+            np.matmul(tile, against64.T, out=out)
+            stop = start + len(tile)
+            scores[start:stop], neighbors[start:stop] = _top_k(out, depth, scratch[:len(tile)])
+
+    list(pool.map(run, range(min(workers, len(starts)))))
+    return scores, neighbors

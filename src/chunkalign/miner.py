@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -14,6 +15,11 @@ from .embed_store import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
 
+# forward entries compared per block of the candidate union's membership test
+_UNION_BLOCK = 2**16
+# candidates per slice of the greedy scan turned into Python ints at once
+_SCAN_SLICE = 8192
+
 @dataclass(frozen=True)
 class MarginParams:
     """Neighborhood size for margin scoring and an optional floor on mined margins."""
@@ -24,9 +30,11 @@ class MarginParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.min_margin is not None and not math.isfinite(self.min_margin):
+            raise ValueError(f"min_margin must be finite, got {self.min_margin}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedUnitPair:
     """One mined (source unit, target unit) pair with its scores."""
 
@@ -86,17 +94,15 @@ def margin_scores(
     avg_src = fwd_scores.mean(axis=1)
     avg_tgt = bwd_scores.mean(axis=1)
 
-    # candidates in forward-then-backward order, each pair kept once at its
-    # first occurrence, so the result keeps that order; a pair found in both
-    # directions keeps its forward cosine, which may differ from the backward
-    # one (a separate GEMM) in the last ulp
-    n, m = len(x), len(y)
-    src = np.concatenate([np.repeat(np.arange(n), fwd_rows.shape[1]), bwd_rows.ravel()])
-    tgt = np.concatenate([fwd_rows.ravel(), np.repeat(np.arange(m), bwd_rows.shape[1])])
-    cosines = np.concatenate([fwd_scores.ravel(), bwd_scores.ravel()])
-    _, first = np.unique(src * m + tgt, return_index=True)
-    first.sort()
-    src, tgt, cosines = src[first], tgt[first], cosines[first]
+    # every forward pair, then each backward pair that the forward search
+    # did not find: the pairs of one direction are distinct, so this is the
+    # union in forward-then-backward order.  A pair found in both directions
+    # keeps its forward cosine, which may differ from the backward one (a
+    # separate GEMM) in the last ulp.
+    new = np.flatnonzero(_backward_only(fwd_rows, bwd_rows))
+    src = np.concatenate([np.repeat(np.arange(len(x)), fwd_rows.shape[1]), bwd_rows.ravel()[new]])
+    tgt = np.concatenate([fwd_rows.ravel(), new // bwd_rows.shape[1]])
+    cosines = np.concatenate([fwd_scores.ravel(), bwd_scores.ravel()[new]])
 
     denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
     kept = denominators != 0.0
@@ -112,6 +118,25 @@ def margin_scores(
     )
 
 
+def _backward_only(fwd_rows: np.ndarray, bwd_rows: np.ndarray) -> np.ndarray:
+    """Whether each backward pair (bwd_rows[j, c], j), flattened, is missing
+    from the forward pairs (i, fwd_rows[i, :]).
+
+    Each block of backward rows compares about _UNION_BLOCK forward entries
+    (one forward row per backward pair), so the test takes a fixed amount of
+    memory.
+    """
+    depth = bwd_rows.shape[1]
+    backward_only = np.empty(bwd_rows.size, dtype=bool)
+    step = max(1, _UNION_BLOCK // (depth * fwd_rows.shape[1]))
+    for start in range(0, len(bwd_rows), step):
+        sources = bwd_rows[start:start + step]
+        targets = np.arange(start, start + len(sources))[:, None, None]
+        found = (fwd_rows[sources] == targets).any(axis=2)
+        np.logical_not(found.ravel(), out=backward_only[start * depth:(start + len(sources)) * depth])
+    return backward_only
+
+
 def _string_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each id's position in Python string order.
 
@@ -123,42 +148,56 @@ def _string_ranks(ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
-    """One-to-one matching: scan by descending margin, keep a pair iff neither
-    endpoint is already taken.
+def _scan_order(candidates: Candidates, src_ranks: np.ndarray) -> np.ndarray:
+    """Candidate positions by descending margin, then descending cosine, then
+    (src_id, tgt_id) in string order.
 
-    Ties break on higher cosine, then on (src_id, tgt_id) compared as
-    strings, so the outcome is a total function of the candidate set.  Only
-    accepted pairs become objects; the result is sorted by ids.
+    A function of its own so that its temporaries, a few arrays of the
+    candidate count, are freed before greedy_match's scan.
     """
     margins = candidates.margins
-    src_key = _string_ranks(candidates.src_ids)[candidates.src_rows]
-    # (src_id, tgt_id) in string order as one integer
-    pair_key = (src_key * len(candidates.tgt_ids)
-                + _string_ranks(candidates.tgt_ids)[candidates.tgt_rows])
-    # sort by -margin (unstable, so any order within ties), then re-sort the
+    # sort by descending margin (any order within ties), then re-sort the
     # runs of tied margins by the whole key; runs stay in place because
     # -margin leads that key too
-    order = np.argsort(-margins)
+    order = np.argsort(margins)[::-1]
     ordered_margins = margins[order]
     equal = ordered_margins[1:] == ordered_margins[:-1]
     tied = np.zeros(len(order), dtype=bool)
     tied[1:] |= equal
     tied[:-1] |= equal
     runs = order[tied]
-    order[tied] = runs[np.lexsort((pair_key[runs], -candidates.cosines[runs], -margins[runs]))]
+    # (src_id, tgt_id) in string order as one integer
+    pair_key = (src_ranks[candidates.src_rows[runs]] * len(candidates.tgt_ids)
+                + _string_ranks(candidates.tgt_ids)[candidates.tgt_rows[runs]])
+    order[tied] = runs[np.lexsort((pair_key, -candidates.cosines[runs], -margins[runs]))]
+    return order
+
+
+def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
+    """One-to-one matching: scan by descending margin, keep a pair iff neither
+    endpoint is already taken.
+
+    Ties break on higher cosine, then on (src_id, tgt_id) compared as
+    strings, so the outcome is a total function of the candidate set.  The
+    scan turns _SCAN_SLICE candidates at a time into Python ints, and only
+    accepted pairs become objects; the result is sorted by ids.
+    """
+    src_ranks = _string_ranks(candidates.src_ids)
+    order = _scan_order(candidates, src_ranks)
     taken_src = bytearray(len(candidates.src_ids))
     taken_tgt = bytearray(len(candidates.tgt_ids))
     accepted = []
-    for c, i, j in zip(order.tolist(), candidates.src_rows[order].tolist(),
-                       candidates.tgt_rows[order].tolist()):
-        if taken_src[i] or taken_tgt[j]:
-            continue
-        taken_src[i] = taken_tgt[j] = 1
-        accepted.append(c)
-    # one-to-one, so the source key alone orders the accepted pairs by ids
+    for start in range(0, len(order), _SCAN_SLICE):
+        part = order[start:start + _SCAN_SLICE]
+        for c, i, j in zip(part.tolist(), candidates.src_rows[part].tolist(),
+                           candidates.tgt_rows[part].tolist()):
+            if taken_src[i] or taken_tgt[j]:
+                continue
+            taken_src[i] = taken_tgt[j] = 1
+            accepted.append(c)
+    # one-to-one, so the source rank alone orders the accepted pairs by ids
     chosen = np.array(accepted, dtype=np.int64)
-    chosen = chosen[np.argsort(src_key[chosen])]
+    chosen = chosen[np.argsort(src_ranks[candidates.src_rows[chosen]])]
     return [
         AlignedUnitPair(src_id=candidates.src_ids[i], tgt_id=candidates.tgt_ids[j],
                         cosine=cosine, margin=margin)

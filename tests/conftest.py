@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def vector_for_text(text, dim=8):
@@ -137,3 +138,27 @@ def keepalive_embed_server():
 def random_unit_matrix(rng, count, dim):
     rows = rng.standard_normal((count, dim))
     return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+@st.composite
+def tie_heavy_search(draw):
+    """Index and query rows drawn from a few quantized unit vectors, so rows
+    repeat and scores tie; k may exceed either side.
+
+    Each palette vector is a signed one-hot or has four entries of +-0.5, so
+    every score is a multiple of 0.25 and exact in any summation order:
+    ties are real ties, not artifacts of rounding in the oracle or the GEMM.
+    """
+    dim = draw(st.integers(4, 8))
+    palette = []
+    for _ in range(draw(st.integers(1, 4))):
+        vector = np.zeros(dim, dtype=np.float32)
+        width = draw(st.sampled_from([1, 4]))
+        places = draw(st.permutations(range(dim)))[:width]
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=width, max_size=width))
+        vector[places] = np.array(signs) / (1.0 if width == 1 else 2.0)
+        palette.append(vector)
+    pick = st.sampled_from(range(len(palette)))
+    base = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
+    queries = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
+    return base, queries, draw(st.integers(1, 40))

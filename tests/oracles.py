@@ -2,8 +2,10 @@
 
 These recompute search and margin results with plain per-query loops and
 lexsort-based ranking so the library's blocked/batched paths have something
-honest to be compared against.  They also hold the conversions between the
-miner's array candidates and plain (src_id, tgt_id, cosine, margin) tuples.
+honest to be compared against; candidate_union_oracle keeps the sort-based
+candidate union that the miner's block-wise membership test replaced.  They
+also hold the conversions between the miner's array candidates and plain
+(src_id, tgt_id, cosine, margin) tuples.
 """
 
 import math
@@ -12,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+from chunkalign import knn
 from chunkalign.miner import AlignedUnitPair, Candidates
 
 
@@ -58,6 +61,38 @@ def margin_oracle(x_rows, y_rows, k):
             continue
         out[(i, j)] = (cos, cos / denominator)
     return out
+
+
+def candidate_union_oracle(x, y, k, workers=1):
+    """margin_scores(x, y, MarginParams(k=k), workers), with the candidate
+    union taken by np.unique over pair keys.
+
+    The forward and backward pairs are concatenated, each pair is kept at its
+    first occurrence, and the kept pairs stay in concatenation order, so a
+    pair found in both directions keeps its forward cosine.
+    """
+    (fwd_scores, fwd_rows), (bwd_scores, bwd_rows) = knn.search_arrays(
+        knn.build(y), knn.build(x).data, k, workers=workers)
+    avg_src = fwd_scores.mean(axis=1)
+    avg_tgt = bwd_scores.mean(axis=1)
+    n, m = len(x), len(y)
+    src = np.concatenate([np.repeat(np.arange(n), fwd_rows.shape[1]), bwd_rows.ravel()])
+    tgt = np.concatenate([fwd_rows.ravel(), np.repeat(np.arange(m), bwd_rows.shape[1])])
+    cosines = np.concatenate([fwd_scores.ravel(), bwd_scores.ravel()])
+    _, first = np.unique(src * m + tgt, return_index=True)
+    first.sort()
+    src, tgt, cosines = src[first], tgt[first], cosines[first]
+    denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
+    kept = denominators != 0.0
+    return Candidates(
+        src_rows=src[kept],
+        tgt_rows=tgt[kept],
+        cosines=cosines[kept],
+        margins=cosines[kept] / denominators[kept],
+        src_ids=x.ids,
+        tgt_ids=y.ids,
+        zero_denominators=len(kept) - int(np.count_nonzero(kept)),
+    )
 
 
 def candidate_tuples(candidates):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,44 @@ class TestNonFiniteEmbeddings:
             argv[argv.index("--src-embeddings") + 1] = str(nan_path)
         assert run_cli(argv) == 1
         assert f"non-finite embedding for id {matrix.ids[3]!r}" in capsys.readouterr().err
+
+
+class TestNonFiniteOptions:
+    """nan and infinite option values are usage errors naming the value,
+    reported before config.json is written."""
+
+    @staticmethod
+    def argv(paths, command, out_dir, *extra):
+        if command == "sweep":
+            argv = align_argv(paths, out_dir, "--thresholds", "0.1",
+                              "--gold", str(paths["gold"]), *extra)
+            argv[0] = "sweep"
+            return argv
+        return align_argv(paths, out_dir, "--mode", command, *extra)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_min_margin(self, aligned_setup, capsys, command, value):
+        out_dir = aligned_setup["root"] / "out"
+        assert run_cli(self.argv(aligned_setup, command, out_dir, f"--min-margin={value}")) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: min_margin must be finite, got {value}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_noise_ratio(self, aligned_setup, capsys, command, value):
+        root = aligned_setup["root"]
+        docs = load_corpus(aligned_setup["src_manifest"])
+        noise = write_corpus(root, [replace(doc, doc_id=f"extra{doc.doc_id}") for doc in docs],
+                             "extra")
+        out_dir = root / "out"
+        argv = self.argv(aligned_setup, command, out_dir, "--noise-src-manifest", str(noise),
+                         f"--noise-ratio={value}")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: noise ratio must be finite, got {value}\n")
+        assert not out_dir.exists()
 
 
 class TestNoiseInjectionFlags:

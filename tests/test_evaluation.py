@@ -189,6 +189,11 @@ class TestNoiseInjection:
         with pytest.raises(ValueError, match="noise ratio must be >= 0"):
             NoiseConfig(ratio=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ratio_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^noise ratio must be finite, got {value}$"):
+            NoiseConfig(ratio=value)
+
 
 class TestDeriveSideSeeds:
     def test_deterministic(self):

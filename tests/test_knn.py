@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from chunkalign import knn
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.knn import build, search_arrays, top_k
-from conftest import random_unit_matrix
+from conftest import random_unit_matrix, tie_heavy_search
 from oracles import brute_force_topk
 
 
@@ -43,6 +43,20 @@ class TestBuild:
         row = np.array([1.0 + 5e-4, 0.0], dtype=np.float32)
         index = build(unit_matrix(["a"], [row]))
         assert index.size == 1
+
+    def test_no_float64_copy(self):
+        # a float64 copy of these rows alone would take 10 MB; the index
+        # shares the float32 rows and the norm check keeps one float64 per row
+        rng = np.random.default_rng(11)
+        matrix = unit_matrix([str(i) for i in range(20000)], random_unit_matrix(rng, 20000, 64))
+        tracemalloc.start()
+        try:
+            index = build(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert index.data is matrix.data
 
 
 class TestSearchArrays:
@@ -199,30 +213,6 @@ class TestTopK:
         values, rows = top_k(scores.T, 2)
         np.testing.assert_array_equal(rows, [[0, 1], [1, 2]])
         np.testing.assert_array_equal(values, [[0.3, 0.3], [0.4, 0.4]])
-
-
-@st.composite
-def tie_heavy_search(draw):
-    """Index and query rows drawn from a few quantized unit vectors, so rows
-    repeat and scores tie; k may exceed either side.
-
-    Each palette vector is a signed one-hot or has four entries of +-0.5, so
-    every score is a multiple of 0.25 and exact in any summation order:
-    ties are real ties, not artifacts of rounding in the oracle or the GEMM.
-    """
-    dim = draw(st.integers(4, 8))
-    palette = []
-    for _ in range(draw(st.integers(1, 4))):
-        vector = np.zeros(dim, dtype=np.float32)
-        width = draw(st.sampled_from([1, 4]))
-        places = draw(st.permutations(range(dim)))[:width]
-        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=width, max_size=width))
-        vector[places] = np.array(signs) / (1.0 if width == 1 else 2.0)
-        palette.append(vector)
-    pick = st.sampled_from(range(len(palette)))
-    base = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
-    queries = np.array([palette[i] for i in draw(st.lists(pick, min_size=1, max_size=30))])
-    return base, queries, draw(st.integers(1, 40))
 
 
 class TestSearchProperties:

@@ -1,19 +1,30 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkalign import knn, miner
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import (
     AlignedUnitPair,
+    Candidates,
     MarginParams,
     greedy_match,
     margin_scores,
     mine,
     write_pairs_tsv,
 )
-from conftest import random_unit_matrix
-from oracles import candidate_tuples, candidates_from_tuples, greedy_oracle, margin_oracle
+from conftest import random_unit_matrix, tie_heavy_search
+from oracles import (
+    candidate_tuples,
+    candidate_union_oracle,
+    candidates_from_tuples,
+    greedy_oracle,
+    margin_oracle,
+)
 
 
 def unit_matrix(ids, rows):
@@ -27,6 +38,11 @@ class TestMarginParams:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             MarginParams(k=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_min_margin(self, value):
+        with pytest.raises(ValueError, match=f"^min_margin must be finite, got {value}$"):
+            MarginParams(min_margin=value)
 
 
 class TestMarginScores:
@@ -109,6 +125,28 @@ class TestMarginScores:
             margin_scores(x, y)
 
 
+class TestCandidateUnionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_search(), st.sampled_from([1, 3, 7, 512]), st.sampled_from([1, 5, 2**16]),
+           st.integers(1, 3))
+    def test_matches_sort_based_union(self, case, block_size, union_block, workers):
+        # quantized rows repeat, so pairs tie and many are found in both
+        # directions; tiles of 3 or 7 rows leave a short last tile, and a
+        # union block of 1 or 5 entries tests one backward row at a time
+        x_rows, y_rows, k = case
+        x = unit_matrix([f"s{i}" for i in range(len(x_rows))], x_rows)
+        y = unit_matrix([f"t{j}" for j in range(len(y_rows))], y_rows)
+        with mock.patch.object(knn, "DEFAULT_BLOCK_SIZE", block_size), \
+                mock.patch.object(miner, "_UNION_BLOCK", union_block):
+            got = margin_scores(x, y, MarginParams(k=k), workers=workers)
+            expected = candidate_union_oracle(x, y, k, workers=workers)
+        for field in ("src_rows", "tgt_rows", "cosines", "margins"):
+            got_array, expected_array = getattr(got, field), getattr(expected, field)
+            assert got_array.dtype == expected_array.dtype
+            assert got_array.tobytes() == expected_array.tobytes()
+        assert got.zero_denominators == expected.zero_denominators
+
+
 class TestGreedyMatch:
     def test_hand_trace(self):
         candidates = [
@@ -122,6 +160,27 @@ class TestGreedyMatch:
 
     def test_empty_input(self):
         assert greedy_match(candidates_from_tuples([])) == []
+
+    def test_memory_per_candidate(self):
+        # 200k candidates, 10 per source row: the scan order and its keys
+        # take a few arrays of the candidate count, and only accepted pairs
+        # become Python objects (a scan over whole-array int lists takes
+        # about 150 bytes per candidate)
+        rng = np.random.default_rng(12)
+        n = 20000
+        cosines = rng.random(10 * n)
+        candidates = Candidates(
+            src_rows=np.repeat(np.arange(n), 10), tgt_rows=rng.integers(0, n, size=10 * n),
+            cosines=cosines, margins=1.5 * cosines, src_ids=[f"s{i}" for i in range(n)],
+            tgt_ids=[f"t{j}" for j in range(n)], zero_denominators=0)
+        tracemalloc.start()
+        try:
+            pairs = greedy_match(candidates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > n // 2
+        assert peak < 64 * len(candidates)
 
     def test_margin_tie_breaks_on_cosine(self):
         candidates = [
