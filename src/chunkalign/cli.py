@@ -8,7 +8,6 @@ import logging
 import os
 import sys
 import urllib.parse
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -74,16 +73,6 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
 def _pooling_method(text: str) -> PoolingMethod:
     try:
         return PoolingMethod.from_string(text)
@@ -112,37 +101,6 @@ def _require_file(path: str, what: str) -> Path:
     if not resolved.is_file():
         raise FileNotFoundError(f"{what} not found: {resolved}")
     return resolved
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one pipeline run, echoed next to its outputs."""
-
-    command: str
-    version: str = __version__
-    mode: str | None = None
-    src_manifest: str | None = None
-    tgt_manifest: str | None = None
-    src_embeddings: str | None = None
-    tgt_embeddings: str | None = None
-    noise_src_manifest: str | None = None
-    noise_tgt_manifest: str | None = None
-    gold: str | None = None
-    out_dir: str | None = None
-    granularity: str | None = None
-    method: str | None = None
-    k: int | None = None
-    threshold: float | None = None
-    thresholds: list[float] | None = None
-    noise_ratio: float | None = None
-    noise_seed: int | None = None
-    min_margin: float | None = None
-    keep_all: bool | None = None
-    workers: int | None = None
-
-    def write(self, out_dir: Path) -> None:
-        payload = json.dumps(asdict(self), indent=2, sort_keys=True)
-        (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-src-manifest", default=None,
                        help="pool of unalignable docs to mix into the source side")
         p.add_argument("--noise-tgt-manifest", default=None)
-        p.add_argument("--noise-ratio", type=_nonnegative_float, default=0.5,
+        p.add_argument("--noise-ratio", type=float, default=0.5,
                        help="noise docs as a fraction of alignable docs (default 0.5)")
         p.add_argument("--noise-seed", type=int, default=0)
         p.add_argument("--min-margin", type=float, default=None,
@@ -335,11 +293,10 @@ def _run_pool(args, ctx) -> None:
 # --- align / sweep ---------------------------------------------------------
 
 
-def _load_side(manifest: str, noise_manifest: str | None, ratio: float, seed: int):
+def _load_side(manifest: str, noise_manifest: str | None, noise: NoiseConfig):
     docs = load_corpus(manifest)
     if noise_manifest is not None:
-        pool = load_corpus(noise_manifest)
-        docs = inject_noise(docs, pool, NoiseConfig(ratio=ratio, seed=seed))
+        docs = inject_noise(docs, load_corpus(noise_manifest), noise)
     return docs
 
 
@@ -353,19 +310,25 @@ def _prepare_align_inputs(args) -> dict:
         _require_file(args.noise_src_manifest, "source noise manifest")
     if args.noise_tgt_manifest is not None:
         _require_file(args.noise_tgt_manifest, "target noise manifest")
-    src_seed, tgt_seed = derive_side_seeds(args.noise_seed)
-    src_docs = _load_side(args.src_manifest, args.noise_src_manifest, args.noise_ratio, src_seed)
-    tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, args.noise_ratio, tgt_seed)
+    # NoiseConfig checks the ratio even when no noise manifest uses it
+    src_noise, tgt_noise = (NoiseConfig(ratio=args.noise_ratio, seed=seed)
+                            for seed in derive_side_seeds(args.noise_seed))
+    src_docs = _load_side(args.src_manifest, args.noise_src_manifest, src_noise)
+    tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
     gold = None
     if getattr(args, "gold", None) is not None:
         _require_file(args.gold, "gold file")
         gold = load_gold(args.gold)
+    src_matrix = normalize(read_matrix(args.src_embeddings))
+    tgt_matrix = normalize(read_matrix(args.tgt_embeddings))
+    if src_matrix.dim != tgt_matrix.dim:
+        raise ValueError(f"embedding dimension mismatch: {src_matrix.dim} vs {tgt_matrix.dim}")
     return {
         "params": params,
         "src_docs": src_docs,
         "tgt_docs": tgt_docs,
-        "src_matrix": normalize(read_matrix(args.src_embeddings)),
-        "tgt_matrix": normalize(read_matrix(args.tgt_embeddings)),
+        "src_matrix": src_matrix,
+        "tgt_matrix": tgt_matrix,
         "gold": gold,
     }
 
@@ -394,32 +357,36 @@ def _prepare_align(args) -> dict:
     return _prepare_align_inputs(args)
 
 
-def _align_run_config(args, command: str) -> RunConfig:
+def _write_run_config(args, command: str, out_dir: Path) -> None:
+    """Echo the resolved settings of an align or sweep run to out_dir/config.json."""
     mode = getattr(args, "mode", "dac")
     method = getattr(args, "method", None)
     noisy = bool(args.noise_src_manifest or args.noise_tgt_manifest)
-    return RunConfig(
-        command=command,
-        mode=mode,
-        src_manifest=args.src_manifest,
-        tgt_manifest=args.tgt_manifest,
-        src_embeddings=args.src_embeddings,
-        tgt_embeddings=args.tgt_embeddings,
-        noise_src_manifest=args.noise_src_manifest,
-        noise_tgt_manifest=args.noise_tgt_manifest,
-        gold=getattr(args, "gold", None),
-        out_dir=args.out_dir,
-        granularity=None if args.granularity is None else str(args.granularity),
-        method=None if method is None else method.name,
-        k=args.k,
-        threshold=getattr(args, "threshold", None),
-        thresholds=getattr(args, "thresholds", None),
-        noise_ratio=args.noise_ratio if noisy else None,
-        noise_seed=args.noise_seed if noisy else None,
-        min_margin=args.min_margin,
-        keep_all=args.keep_all if mode == "dac" else None,
-        workers=args.workers,
-    )
+    config = {
+        "command": command,
+        "version": __version__,
+        "mode": mode,
+        "src_manifest": args.src_manifest,
+        "tgt_manifest": args.tgt_manifest,
+        "src_embeddings": args.src_embeddings,
+        "tgt_embeddings": args.tgt_embeddings,
+        "noise_src_manifest": args.noise_src_manifest,
+        "noise_tgt_manifest": args.noise_tgt_manifest,
+        "gold": getattr(args, "gold", None),
+        "out_dir": args.out_dir,
+        "granularity": None if args.granularity is None else str(args.granularity),
+        "method": None if method is None else method.name,
+        "k": args.k,
+        "threshold": getattr(args, "threshold", None),
+        "thresholds": getattr(args, "thresholds", None),
+        "noise_ratio": args.noise_ratio if noisy else None,
+        "noise_seed": args.noise_seed if noisy else None,
+        "min_margin": args.min_margin,
+        "keep_all": args.keep_all if mode == "dac" else None,
+        "workers": args.workers,
+    }
+    payload = json.dumps(config, indent=2, sort_keys=True)
+    (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
 
 
 def _write_report(reports, fmt: str, path: Path) -> None:
@@ -433,7 +400,7 @@ def _write_report(reports, fmt: str, path: Path) -> None:
 def _run_align(args, ctx) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _align_run_config(args, "align").write(out_dir)
+    _write_run_config(args, "align", out_dir)
     params = ctx["params"]
     if args.mode == "dac":
         pairs, scores = mine_chunk_pairs(
@@ -466,7 +433,7 @@ def _run_align(args, ctx) -> None:
 def _run_sweep(args, ctx) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _align_run_config(args, "sweep").write(out_dir)
+    _write_run_config(args, "sweep", out_dir)
     _, scores = mine_chunk_pairs(
         ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
         args.granularity, ctx["params"], args.workers,

@@ -75,8 +75,9 @@ class ChunkUnit:
 def load_corpus(manifest_path: str | Path) -> list[Document]:
     """Load the documents listed in a JSON-lines manifest.
 
-    Each manifest line is an object with doc_id, lang and path; relative paths
-    are resolved against the manifest's directory.  Sentence files are UTF-8,
+    Each non-blank manifest line is an object with doc_id, lang and path, and
+    a manifest without one is an error; relative paths are resolved against
+    the manifest's directory.  Sentence files are UTF-8,
     with or without a BOM, and hold one sentence per line; a line ends at LF,
     CRLF or CR only, so other Unicode line breaks (U+2028, NEL, ...) stay
     inside their sentence.  Blank lines are dropped and the remaining lines
@@ -113,6 +114,8 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
             if not sentences:
                 raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {path}")
             documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]), sentences=sentences))
+    if not documents:
+        raise ValueError(f"manifest {manifest_path} lists no documents")
     logger.info("loaded %d documents from %s", len(documents), manifest_path)
     return documents
 

@@ -115,52 +115,33 @@ def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> E
     error naming its id, and vectors of differing lengths one naming their
     source; normalize rejects non-finite and zero rows.
     """
-    rows = _VectorRows(source)
-    rows.add(ids, vectors)
-    return rows.matrix(ids)
+    return normalize(EmbeddingMatrix(ids=list(ids), data=_float32_rows(ids, vectors, source)))
 
 
-class _VectorRows:
-    """float32 rows converted from plain vectors one block at a time.
-
-    add() makes the type and width checks of matrix_from_vectors on its
-    block; matrix() makes the float32 range check over every block and
-    normalizes, so the errors come in the order one call with all vectors
-    would raise them.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self.width: int | None = None
-        self.blocks: list[np.ndarray] = []
-        # (id, vector) of each row float32 could not hold: a non-finite or out-of-range value
-        self.suspects: list[tuple[str, list]] = []
-
-    def add(self, ids: Sequence[str], vectors: Sequence) -> None:
-        for unit_id, vector in zip(ids, vectors):
-            if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
-                raise ValueError(f"{self.source} vector for id {unit_id!r} is not a list of numbers")
-            if self.width is None:
-                self.width = len(vector)
-            elif len(vector) != self.width:
-                raise ValueError(f"{self.source} vectors have differing dimensions")
-        try:
-            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, found below
-                block = np.asarray(vectors, dtype=np.float32)
-            suspects = np.flatnonzero(~np.isfinite(block).all(axis=-1))
-        except OverflowError:  # an int too large for any float, which matrix() rejects
-            block = np.empty((len(vectors), self.width), dtype=np.float32)
-            suspects = range(len(vectors))
-        self.blocks.append(block)
-        self.suspects.extend((ids[row], vectors[row]) for row in suspects)
-
-    def matrix(self, ids: Sequence[str]) -> EmbeddingMatrix:
-        for unit_id, vector in self.suspects:
-            if any(_FLOAT32_MAX < abs(value) < math.inf for value in vector):
-                raise ValueError(
-                    f"{self.source} vector for id {unit_id!r} has a value outside the float32 range"
-                )
-        return normalize(EmbeddingMatrix(ids=list(ids), data=np.concatenate(self.blocks)))
+def _float32_rows(ids: Sequence[str], vectors: Sequence, source: str,
+                  width: int | None = None) -> np.ndarray:
+    """float32 rows of one block of plain vectors, one per id, after
+    matrix_from_vectors' checks of type, width and float32 range, in that
+    order; the width is `width` or else the first vector's length."""
+    for unit_id, vector in zip(ids, vectors):
+        if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
+            raise ValueError(f"{source} vector for id {unit_id!r} is not a list of numbers")
+        if width is None:
+            width = len(vector)
+        elif len(vector) != width:
+            raise ValueError(f"{source} vectors have differing dimensions")
+    try:
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, found below
+            block = np.asarray(vectors, dtype=np.float32)
+        suspects = np.flatnonzero(~np.isfinite(block).all(axis=-1))
+    except OverflowError:  # an int too large for any float, found below
+        suspects = range(len(vectors))
+    for row in suspects:
+        if any(_FLOAT32_MAX < abs(value) < math.inf for value in vectors[row]):
+            raise ValueError(
+                f"{source} vector for id {ids[row]!r} has a value outside the float32 range"
+            )
+    return block
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -234,9 +215,10 @@ def fetch_vectors(
     is in flight at most.  Transport failures (connection errors, timeouts,
     429, 5xx) are retried with exponential backoff; contract violations (a
     redirect, another 4xx, a body that is not JSON, wrong count, a vector
-    that is not a list of numbers, ragged or non-finite vectors) fail
-    immediately, naming the first id that carries the text.  Rows are
-    normalized before the matrix is returned.
+    that is not a list of numbers or holds a value beyond float32, ragged
+    vectors) fail at the reply that carries them, naming the first id that
+    carries the text.  Rows are normalized once all replies are in, which
+    rejects non-finite and zero vectors.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
@@ -254,7 +236,7 @@ def fetch_vectors(
         inverse.append(row)
     distinct = list(row_of_text)
 
-    rows = _VectorRows("embedding service")
+    blocks: list[np.ndarray] = []
     requests_sent = 0
     connection = _ServiceConnection(endpoint, timeout)
     try:
@@ -266,7 +248,9 @@ def fetch_vectors(
             following = distinct[start + batch_size:start + 2 * batch_size]
             if following:
                 connection.send(following)
-            rows.add(first_ids[start:start + batch_size], _reply_vectors(status, body, len(batch)))
+            blocks.append(_float32_rows(first_ids[start:start + batch_size],
+                                        _reply_vectors(status, body, len(batch)),
+                                        "embedding service", blocks[0].shape[1] if blocks else None))
     finally:
         connection.close()
     batches = -(-len(distinct) // batch_size)
@@ -274,7 +258,7 @@ def fetch_vectors(
         "fetch funnel: %d texts, %d distinct, %d requests, %d retries",
         len(texts), len(distinct), requests_sent, requests_sent - batches,
     )
-    matrix = rows.matrix(first_ids)
+    matrix = normalize(EmbeddingMatrix(ids=first_ids, data=np.concatenate(blocks)))
     return EmbeddingMatrix(ids=list(ids), data=matrix.data[inverse])
 
 

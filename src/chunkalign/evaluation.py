@@ -162,6 +162,8 @@ def inject_noise(
 
 def derive_side_seeds(seed: int) -> list[int]:
     """Independent source and target seeds split from one run seed."""
+    if seed < 0:
+        raise ValueError(f"noise seed must be >= 0, got {seed}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64)]
 
 

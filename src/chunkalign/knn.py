@@ -9,7 +9,6 @@ import numpy as np
 
 from .embed_store import EmbeddingMatrix
 
-NORM_TOLERANCE = 1e-3
 # Rows per tile.  A tile's float64 scores and np.partition's copy of them take
 # 2 x 8 x 128 x m bytes per worker against m rows; a 128-row GEMM still does
 # 32 flops per byte it streams of the other side.
@@ -36,39 +35,20 @@ class FlatIndex:
 
 
 def build(matrix: EmbeddingMatrix) -> FlatIndex:
-    """Index a normalized matrix; empty or unnormalized input is rejected.
-
-    The index shares the matrix's float32 rows; norms are summed in float64
-    without a float64 copy of the rows.
-    """
-    if len(matrix) == 0:
-        raise ValueError("cannot index an empty matrix")
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix.data, matrix.data, dtype=np.float64))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
-    if bad.size:
-        row = int(bad[0])
-        raise ValueError(
-            f"row {matrix.ids[row]!r} is not normalized (norm {norms[row]:.6f}); "
-            "normalize before indexing"
-        )
-    return FlatIndex(data=matrix.data)
+    """Index a matrix whose rows are unit vectors; the index shares its float32 rows."""
+    return FlatIndex(matrix.data)
 
 
-def top_k(scores: np.ndarray, depth: int) -> Neighbors:
+def top_k(scores: np.ndarray, depth: int, scratch: np.ndarray) -> Neighbors:
     """The `depth` best entries of each row of a finite (rows, width) score array.
 
     Entries are ordered by (-score, column).  np.partition finds each row's
-    depth-th largest score, and every entry at or above it is a candidate, so
-    all entries tied with it compete on their column and the selection is
-    exact.  Returns (scores, columns), each of shape (rows, depth); depth
-    must lie in [1, width].
+    depth-th largest score in a copy of the scores in `scratch`, a float64
+    array of their shape that the caller may reuse, and every entry at or
+    above it is a candidate, so all entries tied with it compete on their
+    column and the selection is exact.  Returns (scores, columns), each of
+    shape (rows, depth); depth must lie in [1, width].
     """
-    return _top_k(scores, depth, np.empty(scores.shape))
-
-
-def _top_k(scores: np.ndarray, depth: int, scratch: np.ndarray) -> Neighbors:
-    """top_k, partitioning a copy of the scores in `scratch`, a float64
-    array of their shape that the caller may reuse."""
     count, width = scores.shape
     np.copyto(scratch, scores)
     scratch.partition(width - depth, axis=1)
@@ -97,7 +77,9 @@ def search_arrays(
     Returns (forward, backward): forward holds each query's top-k index rows,
     backward each index row's top-k query rows.  k is clamped to the size of
     the side searched, so forward has min(k, index.size) columns and backward
-    min(k, len(queries)).  Ties break by ascending row number.
+    min(k, len(queries)).  Ties break by ascending row number.  Nothing is
+    checked here: both sides must be non-empty and of one width, and k and
+    workers at least 1, as margin_scores makes sure.
 
     Both directions are searched the same way, one after the other in one
     pool of `workers` threads: a tile of DEFAULT_BLOCK_SIZE rows of one side
@@ -107,17 +89,6 @@ def search_arrays(
     found in both directions comes from two GEMMs, x.y and y.x, so its two
     scores may differ in the last ulp.
     """
-    queries = np.asarray(queries)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise ValueError(f"query shape {queries.shape} does not match index dim {index.dim}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    depth = min(k, index.size)
-    if len(queries) == 0:
-        return ((np.empty((0, depth)), np.empty((0, depth), dtype=np.int64)),
-                (np.empty((index.size, 0)), np.empty((index.size, 0), dtype=np.int64)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         forward = _search(pool, workers, queries, index.data, k)
         backward = _search(pool, workers, index.data, queries, k)
@@ -149,7 +120,7 @@ def _search(pool: ThreadPoolExecutor, workers: int, rows: np.ndarray, against: n
             out = tile_scores[:len(tile)]
             np.matmul(tile, against64.T, out=out)
             stop = start + len(tile)
-            scores[start:stop], neighbors[start:stop] = _top_k(out, depth, scratch[:len(tile)])
+            scores[start:stop], neighbors[start:stop] = top_k(out, depth, scratch[:len(tile)])
 
     list(pool.map(run, range(min(workers, len(starts)))))
     return scores, neighbors

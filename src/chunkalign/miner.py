@@ -15,6 +15,8 @@ from .embed_store import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
 
+# largest accepted distance of a row's L2 norm from 1
+_NORM_TOLERANCE = 1e-3
 # forward entries compared per block of the candidate union's membership test
 _UNION_BLOCK = 2**16
 # candidates per slice of the greedy scan turned into Python ints at once
@@ -79,6 +81,9 @@ def margin_scores(
     clamped to that side's size.  Candidates whose averages cancel to a zero
     denominator are dropped: a ratio against an empty neighborhood carries no
     signal.
+
+    Both sides must be non-empty, of one dimension and of unit rows, and
+    workers at least 1: checked here only, as knn checks nothing.
     """
     if len(x) == 0:
         raise ValueError("source side is empty")
@@ -86,10 +91,12 @@ def margin_scores(
         raise ValueError("target side is empty")
     if x.dim != y.dim:
         raise ValueError(f"embedding dimension mismatch: {x.dim} vs {y.dim}")
-    index_y = knn.build(y)
-    index_x = knn.build(x)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _require_unit_rows(x)
+    _require_unit_rows(y)
     (fwd_scores, fwd_rows), (bwd_scores, bwd_rows) = knn.search_arrays(
-        index_y, index_x.data, params.k, workers=workers
+        knn.build(y), x.data, params.k, workers=workers
     )
     avg_src = fwd_scores.mean(axis=1)
     avg_tgt = bwd_scores.mean(axis=1)
@@ -116,6 +123,19 @@ def margin_scores(
         tgt_ids=y.ids,
         zero_denominators=len(kept) - int(np.count_nonzero(kept)),
     )
+
+
+def _require_unit_rows(side: EmbeddingMatrix) -> None:
+    """Reject a row whose L2 norm, summed in float64 without a float64 copy
+    of the rows, differs from 1 by more than _NORM_TOLERANCE."""
+    norms = np.sqrt(np.einsum("ij,ij->i", side.data, side.data, dtype=np.float64))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOLERANCE)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(
+            f"row {side.ids[row]!r} is not normalized (norm {norms[row]:.6f}); "
+            "normalize before indexing"
+        )
 
 
 def _backward_only(fwd_rows: np.ndarray, bwd_rows: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ def candidate_union_oracle(x, y, k, workers=1):
     pair found in both directions keeps its forward cosine.
     """
     (fwd_scores, fwd_rows), (bwd_scores, bwd_rows) = knn.search_arrays(
-        knn.build(y), knn.build(x).data, k, workers=workers)
+        knn.build(y), x.data, k, workers=workers)
     avg_src = fwd_scores.mean(axis=1)
     avg_tgt = bwd_scores.mean(axis=1)
     n, m = len(x), len(y)

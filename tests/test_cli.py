@@ -375,6 +375,121 @@ class TestNonFiniteOptions:
         assert not out_dir.exists()
 
 
+class TestInputFaultsBeforeOutput:
+    """Faults in the inputs that mining would only meet later are invalid
+    input, reported before config.json or any other output is written."""
+
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_dim_mismatch(self, aligned_setup, capsys, command):
+        target = read_matrix(aligned_setup["tgt_emb"])
+        write_matrix(EmbeddingMatrix(ids=target.ids, data=target.data[:, :-1]),
+                     aligned_setup["tgt_emb"])
+        out_dir = aligned_setup["root"] / "out"
+        assert run_cli(TestNonFiniteOptions.argv(aligned_setup, command, out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "chunkalign: invalid input: embedding dimension mismatch: "
+            f"{target.dim} vs {target.dim - 1}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep", "pool", "segment"])
+    def test_empty_manifest(self, aligned_setup, capsys, command):
+        root = aligned_setup["root"]
+        empty = root / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        out = root / "out"
+        if command == "segment":
+            argv = ["segment", "--manifest", str(empty), "--out", str(out)]
+        elif command == "pool":
+            argv = ["pool", "--manifest", str(empty), "--embeddings",
+                    str(aligned_setup["src_emb"]), "--out", str(out)]
+        else:
+            argv = TestNonFiniteOptions.argv(aligned_setup, command, out)
+            argv[argv.index("--src-manifest") + 1] = str(empty)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: manifest {empty} lists no documents\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, problem", [
+        ("nan", "must be finite, got nan"),
+        ("inf", "must be finite, got inf"),
+        ("-1", "must be >= 0, got -1.0"),
+    ])
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_noise_ratio_without_noise_manifest(self, aligned_setup, capsys, command, value,
+                                                problem):
+        out_dir = aligned_setup["root"] / "out"
+        argv = TestNonFiniteOptions.argv(aligned_setup, command, out_dir,
+                                         f"--noise-ratio={value}")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: noise ratio {problem}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_negative_noise_seed(self, aligned_setup, capsys, command):
+        out_dir = aligned_setup["root"] / "out"
+        argv = TestNonFiniteOptions.argv(aligned_setup, command, out_dir, "--noise-seed", "-1")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "chunkalign: invalid input: noise seed must be >= 0, got -1\n")
+        assert not out_dir.exists()
+
+
+class TestConfigJson:
+    """The exact bytes of config.json: keys sorted, two-space indent, every
+    setting present, null where it does not apply."""
+
+    @staticmethod
+    def expected(paths, out_dir, command, **settings):
+        config = {
+            "command": command, "gold": str(paths["gold"]), "granularity": None, "k": 16,
+            "keep_all": None, "method": None, "min_margin": None, "mode": "dac",
+            "noise_ratio": None, "noise_seed": None, "noise_src_manifest": None,
+            "noise_tgt_manifest": None, "out_dir": str(out_dir),
+            "src_embeddings": str(paths["src_emb"]), "src_manifest": str(paths["src_manifest"]),
+            "tgt_embeddings": str(paths["tgt_emb"]), "tgt_manifest": str(paths["tgt_manifest"]),
+            "threshold": None, "thresholds": None, "version": chunkalign.__version__,
+            "workers": 1, **settings,
+        }
+        lines = [f"  {json.dumps(key)}: {json.dumps(config[key])}" for key in sorted(config)]
+        return "{\n" + ",\n".join(lines) + "\n}\n"
+
+    def test_dac_align(self, aligned_setup):
+        out_dir = aligned_setup["root"] / "dac"
+        assert run_cli(align_argv(aligned_setup, out_dir, "--gold", str(aligned_setup["gold"]),
+                                  "-g", "2", "-k", "4", "--threshold", "0.25", "--keep-all",
+                                  "--min-margin", "1.0", "--workers", "2")) == 0
+        assert (out_dir / "config.json").read_text(encoding="utf-8") == self.expected(
+            aligned_setup, out_dir, "align", granularity="2", k=4, threshold=0.25,
+            keep_all=True, min_margin=1.0, workers=2)
+
+    def test_pooled_align(self, aligned_setup):
+        root = aligned_setup["root"]
+        docs = load_corpus(aligned_setup["tgt_manifest"])
+        paths = dict(aligned_setup, tgt_manifest=write_corpus(
+            root, [doc for doc in docs if "noise" not in doc.doc_id], "clean"))
+        noise = write_corpus(root, [doc for doc in docs if "noise" in doc.doc_id], "noise")
+        out_dir = root / "pooled"
+        assert run_cli(align_argv(paths, out_dir, "--gold", str(paths["gold"]),
+                                  "--mode", "pooled", "--method", "lidf",
+                                  "--noise-tgt-manifest", str(noise), "--noise-ratio", "0.25",
+                                  "--noise-seed", "5")) == 0
+        assert (out_dir / "config.json").read_text(encoding="utf-8") == self.expected(
+            paths, out_dir, "align", mode="pooled", method="LIDF",
+            noise_tgt_manifest=str(noise), noise_ratio=0.25, noise_seed=5)
+
+    def test_sweep(self, aligned_setup):
+        out_dir = aligned_setup["root"] / "sweep"
+        argv = TestNonFiniteOptions.argv(aligned_setup, "sweep", out_dir)
+        argv[argv.index("--thresholds") + 1] = "0.0,0.2"
+        assert run_cli(argv) == 0
+        text = (out_dir / "config.json").read_text(encoding="utf-8")
+        # indent=2 spreads a list over lines of its own
+        assert text == self.expected(aligned_setup, out_dir, "sweep", granularity="1",
+                                     keep_all=False, thresholds=[0.0, 0.2]).replace(
+            '"thresholds": [0.0, 0.2]', '"thresholds": [\n    0.0,\n    0.2\n  ]')
+
+
 class TestNoiseInjectionFlags:
     def test_align_with_noise_pools(self, tmp_path):
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(

@@ -72,6 +72,13 @@ class TestLoadCorpus:
         with pytest.raises(FileNotFoundError, match="manifest"):
             load_corpus(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_manifest_without_documents_rejected(self, tmp_path, text):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="lists no documents"):
+            load_corpus(manifest)
+
     def test_blank_only_file_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path, [("empty", "en", "\n\n  \n")])
         with pytest.raises(ValueError, match="'empty' is empty"):

@@ -443,6 +443,16 @@ class TestFetchSendAhead:
             fetch_vectors(ids + ["late#0"], texts + ["bad"], url, batch_size=1)
         assert index + 1 <= state["requests"] <= index + 2
 
+    def test_range_fault_stops_at_its_reply(self, embed_server):
+        # batch 1 holds a value beyond float32 and batch 3 a vector that is
+        # not a list of numbers; the first faulty reply ends the fetch
+        url, state = embed_server
+        state["raw_vectors"] = {"huge": [1.0] * 7 + [1e39], "odd": ["x"] * 8}
+        with pytest.raises(ValueError, match="embedding service vector for id 'h#0' has a value "
+                                             "outside the float32 range"):
+            fetch_vectors(["h#0", "a#1", "o#2"], ["huge", "fine", "odd"], url, batch_size=1)
+        assert state["requests"] <= 2
+
     @pytest.mark.parametrize("fault, problem", [
         ({"drop_one": True}, "returned 1 vectors for 2 texts"),
         ({"bad_body": True}, "with a body that is not JSON"),

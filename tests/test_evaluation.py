@@ -207,6 +207,10 @@ class TestDeriveSideSeeds:
     def test_run_seeds_differ(self):
         assert derive_side_seeds(1) != derive_side_seeds(2)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="^noise seed must be >= 0, got -1$"):
+            derive_side_seeds(-1)
+
 
 def random_scores(rng, n_src=12, n_tgt=12, density=0.5):
     scores = []

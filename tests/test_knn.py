@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chunkalign import knn
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.knn import build, search_arrays, top_k
+from chunkalign.miner import MarginParams, margin_scores
 from conftest import random_unit_matrix, tie_heavy_search
 from oracles import brute_force_topk
 
@@ -23,40 +24,29 @@ def tiles_of(rows):
     return mock.patch.object(knn, "DEFAULT_BLOCK_SIZE", rows)
 
 
+def rejected_before_search(match, x, y):
+    """knn checks nothing, so margin_scores must refuse (x, y) with a
+    ValueError matching `match` before any index is built or searched."""
+    with mock.patch.object(knn, "build") as index, mock.patch.object(knn, "search_arrays") as search:
+        with pytest.raises(ValueError, match=match):
+            margin_scores(x, y)
+    index.assert_not_called()
+    search.assert_not_called()
+
+
 class TestBuild:
     def test_size_and_dim(self):
-        index = build(unit_matrix(["a", "b"], np.eye(2)))
+        matrix = unit_matrix(["a", "b"], np.eye(2))
+        index = build(matrix)
         assert index.size == 2
         assert index.dim == 2
+        assert index.data is matrix.data
 
     def test_empty_rejected(self):
-        m = EmbeddingMatrix(ids=[], data=np.empty((0, 4), dtype=np.float32))
-        with pytest.raises(ValueError, match="cannot index an empty matrix"):
-            build(m)
-
-    def test_unnormalized_row_named(self):
-        m = unit_matrix(["good", "bad#7"], [[1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="'bad#7'"):
-            build(m)
-
-    def test_small_norm_drift_tolerated(self):
-        row = np.array([1.0 + 5e-4, 0.0], dtype=np.float32)
-        index = build(unit_matrix(["a"], [row]))
-        assert index.size == 1
-
-    def test_no_float64_copy(self):
-        # a float64 copy of these rows alone would take 10 MB; the index
-        # shares the float32 rows and the norm check keeps one float64 per row
-        rng = np.random.default_rng(11)
-        matrix = unit_matrix([str(i) for i in range(20000)], random_unit_matrix(rng, 20000, 64))
-        tracemalloc.start()
-        try:
-            index = build(matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert index.data is matrix.data
+        empty = EmbeddingMatrix(ids=[], data=np.empty((0, 4), dtype=np.float32))
+        full = unit_matrix(["a"], [[1.0, 0.0, 0.0, 0.0]])
+        rejected_before_search("source side is empty", empty, full)
+        rejected_before_search("target side is empty", full, empty)
 
 
 class TestSearchArrays:
@@ -164,28 +154,17 @@ class TestSearchArrays:
         assert peak < 16 * 2**20
 
     def test_dim_mismatch(self):
-        index = build(unit_matrix(["a"], [[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="does not match index dim 2"):
-            search_arrays(index, np.ones((1, 3), dtype=np.float32), k=1)
+        x = unit_matrix(["a"], [[1.0, 0.0, 0.0]])
+        y = unit_matrix(["b"], [[1.0, 0.0]])
+        rejected_before_search("dimension mismatch: 3 vs 2", x, y)
 
     def test_k_below_one(self):
-        index = build(unit_matrix(["a"], [[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            search_arrays(index, np.eye(2, 2, dtype=np.float32)[:1], k=0)
-
-    def test_bad_workers(self):
-        index = build(unit_matrix(["a"], [[1.0, 0.0]]))
-        q = np.array([[1.0, 0.0]], dtype=np.float32)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            search_arrays(index, q, k=1, workers=0)
-
-    def test_zero_queries(self):
-        index = build(unit_matrix(["a", "b", "c"], np.eye(3)))
-        (scores, rows), (back_scores, back_rows) = search_arrays(
-            index, np.empty((0, 3), dtype=np.float32), k=2)
-        assert scores.shape == rows.shape == (0, 2)
-        assert back_scores.shape == back_rows.shape == (3, 0)
-        assert rows.dtype == back_rows.dtype == np.int64
+        # k is checked when the parameters are made, so no search sees it
+        x = unit_matrix(["a"], [[1.0, 0.0]])
+        with mock.patch.object(knn, "search_arrays") as search:
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                margin_scores(x, x, MarginParams(k=0))
+        search.assert_not_called()
 
     def test_scores_sorted_descending(self):
         rng = np.random.default_rng(3)
@@ -199,18 +178,18 @@ class TestSearchArrays:
 class TestTopK:
     def test_ties_break_by_column(self):
         scores = np.array([[0.5, 0.9, 0.5, 0.9, 0.5]])
-        values, cols = top_k(scores, 3)
+        values, cols = top_k(scores, 3, np.empty(scores.shape))
         np.testing.assert_array_equal(cols, [[1, 3, 0]])
         np.testing.assert_array_equal(values, [[0.9, 0.9, 0.5]])
 
     def test_full_depth_is_a_sort(self):
         scores = np.array([[0.1, -0.3, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0]])
-        _, cols = top_k(scores, 4)
+        _, cols = top_k(scores, 4, np.empty(scores.shape))
         np.testing.assert_array_equal(cols, [[2, 0, 3, 1], [0, 1, 2, 3]])
 
     def test_transposed_view(self):
         scores = np.array([[0.3, 0.1], [0.3, 0.4], [0.2, 0.4]])
-        values, rows = top_k(scores.T, 2)
+        values, rows = top_k(scores.T, 2, np.empty(scores.T.shape))
         np.testing.assert_array_equal(rows, [[0, 1], [1, 2]])
         np.testing.assert_array_equal(values, [[0.3, 0.3], [0.4, 0.4]])
 

@@ -124,6 +124,37 @@ class TestMarginScores:
         with pytest.raises(ValueError, match="not normalized"):
             margin_scores(x, y)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_unnormalized_row_named(self, side):
+        good = unit_matrix(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        bad = unit_matrix(["good", "bad#7"], [[1.0, 0.0], [2.0, 0.0]])
+        x, y = (bad, good) if side == "source" else (good, bad)
+        with pytest.raises(ValueError, match=r"^row 'bad#7' is not normalized \(norm 2.000000\)"):
+            margin_scores(x, y)
+
+    def test_small_norm_drift_tolerated(self):
+        x = unit_matrix(["a"], [[1.0 + 5e-4, 0.0]])
+        y = unit_matrix(["b"], [[1.0 - 5e-4, 0.0]])
+        assert len(margin_scores(x, y)) == 1
+
+    def test_bad_workers(self):
+        x = unit_matrix(["a"], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+            margin_scores(x, x, workers=0)
+
+    def test_norm_check_makes_no_float64_copy(self):
+        # a float64 copy of these rows alone would take 10 MB; the norm check
+        # keeps one float64 per row
+        rng = np.random.default_rng(11)
+        side = unit_matrix([str(i) for i in range(20000)], random_unit_matrix(rng, 20000, 64))
+        tracemalloc.start()
+        try:
+            miner._require_unit_rows(side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestCandidateUnionProperties:
     @settings(max_examples=150, deadline=None)
