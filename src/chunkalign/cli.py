@@ -12,22 +12,11 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import Granularity, load_corpus, read_units_tsv, segment, write_units_tsv
-from .dac import DEFAULT_THRESHOLD, mine_chunk_pairs, select_pairs, write_scores_tsv
-from .embed_store import fetch_vectors, matrix_from_vectors, normalize, read_matrix, write_matrix
-from .evaluation import (
-    NoiseConfig,
-    derive_side_seeds,
-    inject_noise,
-    load_gold,
-    load_pairs,
-    score,
-    sweep_thresholds,
-    write_reports_json,
-    write_reports_tsv,
-)
-from .miner import MarginParams, write_pairs_tsv
-from .pooled import align_documents_pooled, pool_corpus
-from .pooling import PoolingMethod
+
+# Each command imports the modules it runs inside its prepare and run
+# functions, and no parser default needs one, so segment, --help and usage
+# errors skip numpy and fetch-embeddings skips the mining modules: those
+# imports take most of a short command's startup.
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +62,9 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _pooling_method(text: str) -> PoolingMethod:
+def _pooling_method(text: str):
+    from .pooling import PoolingMethod
+
     try:
         return PoolingMethod.from_string(text)
     except ValueError as exc:
@@ -130,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="pool sentence embeddings into document vectors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings", required=True, help="sentence-level (granularity 1) matrix")
-    p.add_argument("--method", type=_pooling_method, default=PoolingMethod.MP,
+    p.add_argument("--method", type=_pooling_method, default=None,
                    help="MP, LP, IDF or LIDF (default MP)")
     p.add_argument("--out", required=True, help="output document matrix file")
 
@@ -140,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--src-embeddings", required=True,
                        help="matrix covering the source units at the chosen granularity")
         p.add_argument("--tgt-embeddings", required=True)
-        p.add_argument("-k", type=_positive_int, default=MarginParams().k,
+        p.add_argument("-k", type=_positive_int, default=None,
                        help="margin neighborhood size (default 16)")
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="threads for the search stage (results are identical for any count)")
@@ -229,6 +220,8 @@ def _check_endpoint(endpoint: str) -> None:
 
 
 def _run_fetch(args, ctx) -> None:
+    from .embed_store import fetch_vectors, write_matrix
+
     ids = [unit_id for unit_id, _ in ctx["units"]]
     texts = [text for _, text in ctx["units"]]
     matrix = fetch_vectors(ids, texts, ctx["endpoint"], batch_size=args.batch_size)
@@ -240,6 +233,8 @@ def _run_fetch(args, ctx) -> None:
 
 
 def _prepare_import(args) -> dict:
+    from .embed_store import matrix_from_vectors
+
     _require_file(args.units, "units file")
     _require_file(args.vectors, "vectors file")
     units = read_units_tsv(args.units)
@@ -268,6 +263,8 @@ def _prepare_import(args) -> dict:
 
 
 def _run_import(args, ctx) -> None:
+    from .embed_store import write_matrix
+
     matrix = ctx["matrix"]
     write_matrix(matrix, args.out)
     print(f"wrote {len(matrix)} x {matrix.dim} embeddings to {args.out}")
@@ -277,6 +274,11 @@ def _run_import(args, ctx) -> None:
 
 
 def _prepare_pool(args) -> dict:
+    from .embed_store import normalize, read_matrix
+    from .pooling import PoolingMethod
+
+    if args.method is None:
+        args.method = PoolingMethod.MP
     _require_file(args.manifest, "manifest")
     _require_file(args.embeddings, "embeddings file")
     docs = load_corpus(args.manifest)
@@ -285,6 +287,9 @@ def _prepare_pool(args) -> dict:
 
 
 def _run_pool(args, ctx) -> None:
+    from .embed_store import write_matrix
+    from .pooled import pool_corpus
+
     pooled = pool_corpus(ctx["docs"], ctx["matrix"], args.method)
     write_matrix(pooled, args.out)
     print(f"wrote {len(pooled)} document vectors ({args.method.name}) to {args.out}")
@@ -293,7 +298,9 @@ def _run_pool(args, ctx) -> None:
 # --- align / sweep ---------------------------------------------------------
 
 
-def _load_side(manifest: str, noise_manifest: str | None, noise: NoiseConfig):
+def _load_side(manifest: str, noise_manifest: str | None, noise):
+    from .evaluation import inject_noise
+
     docs = load_corpus(manifest)
     if noise_manifest is not None:
         docs = inject_noise(docs, load_corpus(noise_manifest), noise)
@@ -301,6 +308,12 @@ def _load_side(manifest: str, noise_manifest: str | None, noise: NoiseConfig):
 
 
 def _prepare_align_inputs(args) -> dict:
+    from .embed_store import normalize, read_matrix
+    from .evaluation import NoiseConfig, derive_side_seeds, load_gold
+    from .miner import MarginParams
+
+    if args.k is None:
+        args.k = MarginParams().k
     params = MarginParams(k=args.k, min_margin=args.min_margin)
     _require_file(args.src_manifest, "source manifest")
     _require_file(args.tgt_manifest, "target manifest")
@@ -335,6 +348,8 @@ def _prepare_align_inputs(args) -> dict:
 
 def _prepare_align(args) -> dict:
     if args.mode == "dac":
+        from .dac import DEFAULT_THRESHOLD
+
         if args.method is not None:
             raise ValueError("--method is only valid with --mode pooled")
         if args.granularity is None:
@@ -353,6 +368,8 @@ def _prepare_align(args) -> dict:
         if args.dump_chunk_pairs:
             raise ValueError("--dump-chunk-pairs is only valid with --mode dac")
         if args.method is None:
+            from .pooling import PoolingMethod
+
             args.method = PoolingMethod.MP
     return _prepare_align_inputs(args)
 
@@ -390,6 +407,8 @@ def _write_run_config(args, command: str, out_dir: Path) -> None:
 
 
 def _write_report(reports, fmt: str, path: Path) -> None:
+    from .evaluation import write_reports_json, write_reports_tsv
+
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if fmt == "json":
             write_reports_json(reports, handle)
@@ -398,6 +417,10 @@ def _write_report(reports, fmt: str, path: Path) -> None:
 
 
 def _run_align(args, ctx) -> None:
+    from .dac import mine_chunk_pairs, select_pairs, write_scores_tsv
+    from .evaluation import score
+    from .miner import write_pairs_tsv
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(args, "align", out_dir)
@@ -413,6 +436,8 @@ def _run_align(args, ctx) -> None:
         write_scores_tsv(selected, out_dir / "pairs.tsv")
         predicted = [(s.src_doc, s.tgt_doc) for s in selected]
     else:
+        from .pooled import align_documents_pooled
+
         mined = align_documents_pooled(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
             args.method, params, workers=args.workers,
@@ -431,6 +456,9 @@ def _run_align(args, ctx) -> None:
 
 
 def _run_sweep(args, ctx) -> None:
+    from .dac import mine_chunk_pairs
+    from .evaluation import sweep_thresholds
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(args, "sweep", out_dir)
@@ -448,12 +476,16 @@ def _run_sweep(args, ctx) -> None:
 
 
 def _prepare_evaluate(args) -> dict:
+    from .evaluation import load_gold, load_pairs
+
     _require_file(args.pairs, "pairs file")
     _require_file(args.gold, "gold file")
     return {"predicted": load_pairs(args.pairs), "gold": load_gold(args.gold)}
 
 
 def _run_evaluate(args, ctx) -> None:
+    from .evaluation import score, write_reports_json, write_reports_tsv
+
     report = score(ctx["predicted"], ctx["gold"])
     if args.out is None:
         if args.format == "json":

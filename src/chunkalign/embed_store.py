@@ -151,14 +151,15 @@ def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
     count, then one u32-length-prefixed UTF-8 id per row, then the payload of
     count x dim float32 values in row-major order.
     """
-    blob = bytearray()
-    blob += _HEADER.pack(MAGIC, FORMAT_VERSION, matrix.dim, len(matrix))
+    head = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, matrix.dim, len(matrix)))
     for unit_id in matrix.ids:
         raw = unit_id.encode("utf-8")
-        blob += _ID_LEN.pack(len(raw))
-        blob += raw
-    blob += matrix.data.astype("<f4", copy=False).tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
+        head += _ID_LEN.pack(len(raw))
+        head += raw
+    with open(path, "wb") as handle:
+        handle.write(head)
+        # the rows are C-contiguous float32: written from the array, not a copy
+        handle.write(matrix.data.astype("<f4", copy=False).data)
 
 
 def read_matrix(path: str | Path) -> EmbeddingMatrix:
@@ -216,9 +217,9 @@ def fetch_vectors(
     429, 5xx) are retried with exponential backoff; contract violations (a
     redirect, another 4xx, a body that is not JSON, wrong count, a vector
     that is not a list of numbers or holds a value beyond float32, ragged
-    vectors) fail at the reply that carries them, naming the first id that
-    carries the text.  Rows are normalized once all replies are in, which
-    rejects non-finite and zero vectors.
+    vectors, a non-finite or zero vector) fail at the reply that carries
+    them, naming the first id that carries the text: each reply's rows are
+    checked and normalized as the reply arrives.
     """
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
@@ -248,9 +249,10 @@ def fetch_vectors(
             following = distinct[start + batch_size:start + 2 * batch_size]
             if following:
                 connection.send(following)
-            blocks.append(_float32_rows(first_ids[start:start + batch_size],
-                                        _reply_vectors(status, body, len(batch)),
-                                        "embedding service", blocks[0].shape[1] if blocks else None))
+            batch_ids = first_ids[start:start + batch_size]
+            rows = _float32_rows(batch_ids, _reply_vectors(status, body, len(batch)),
+                                 "embedding service", blocks[0].shape[1] if blocks else None)
+            blocks.append(normalize(EmbeddingMatrix(ids=batch_ids, data=rows)).data)
     finally:
         connection.close()
     batches = -(-len(distinct) // batch_size)
@@ -258,8 +260,7 @@ def fetch_vectors(
         "fetch funnel: %d texts, %d distinct, %d requests, %d retries",
         len(texts), len(distinct), requests_sent, requests_sent - batches,
     )
-    matrix = normalize(EmbeddingMatrix(ids=first_ids, data=np.concatenate(blocks)))
-    return EmbeddingMatrix(ids=list(ids), data=matrix.data[inverse])
+    return EmbeddingMatrix(ids=list(ids), data=np.concatenate(blocks)[inverse])
 
 
 def _await_reply(connection: "_ServiceConnection", batch: list[str], attempts: int,

@@ -11,7 +11,7 @@ import pytest
 
 import chunkalign
 from chunkalign.cli import main
-from chunkalign.corpus import load_corpus
+from chunkalign.corpus import Document, load_corpus
 from chunkalign.embed_store import EmbeddingMatrix, normalize, read_matrix, write_matrix
 from chunkalign.miner import MarginParams, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
@@ -704,17 +704,64 @@ class TestFetchCommand:
         assert "chunkalign: error" in capsys.readouterr().err
 
 
+def _probe(code, *argv, cwd=None):
+    """Last stdout line of `python -c code *argv` run on this checkout's sources."""
+    src = str(Path(chunkalign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip().splitlines()[-1]
+
+
+# runs the CLI on its arguments, then prints the exit code and which chunkalign
+# modules, and whether numpy, were imported
+_CLI_PROBE = """
+import json, sys
+from chunkalign.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(name for name in sys.modules if name.startswith("chunkalign"))]))
+"""
+
+
 class TestStartup:
     def test_cli_import_leaves_http_client_out(self):
         # only fetch-embeddings talks HTTP; the other commands should not pay
         # for importing a client, the standard library's or a third party's
-        src = str(Path(chunkalign.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
         probe = ("import sys, chunkalign.cli; "
                  "print(sorted({'http.client', 'requests'} & set(sys.modules)))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert _probe(probe) == "[]"
+
+    # numpy is most of a short command's startup; only the commands that
+    # handle vectors import it
+    @pytest.mark.parametrize("module", ["chunkalign", "chunkalign.cli"])
+    def test_import_leaves_numpy_out(self, module):
+        assert _probe(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["segment", "--manifest", "corpus/manifest.jsonl", "--out", "units.tsv"], 0),
+        (["--help"], 0),
+        (["pool", "--manifest", "corpus/manifest.jsonl"], 1),
+    ], ids=["segment", "help", "usage_error"])
+    def test_command_leaves_numpy_out(self, tmp_path, argv, code):
+        write_corpus(tmp_path, [Document("a", "en", ("One.", "Two.")),
+                                Document("b", "en", ("Three.",))], "corpus")
+        result = json.loads(_probe(_CLI_PROBE, *argv, cwd=tmp_path))
+        assert result[:2] == [code, False]
+        assert result[2] == ["chunkalign", "chunkalign.cli", "chunkalign.corpus"]
+
+    def test_fetch_loads_only_embed_store_and_corpus(self, tmp_path, embed_server):
+        url, _ = embed_server
+        units = tmp_path / "units.tsv"
+        units.write_text("d#0\thello world\nd#1\tsecond line\n", encoding="utf-8")
+        result = json.loads(_probe(_CLI_PROBE, "fetch-embeddings", "--units", str(units),
+                                   "--endpoint", url, "--out", str(tmp_path / "emb.demb")))
+        assert result[0] == 0
+        assert result[2] == ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
+                             "chunkalign.embed_store"]
 
 
 class TestImportCommand:

@@ -3,6 +3,7 @@ import logging
 import socket
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestMatrixFile:
         back = read_matrix(path)
         assert len(back) == 0
         assert back.dim == 7
+
+    def test_write_makes_no_payload_copy(self, tmp_path):
+        rows = np.random.default_rng(5).standard_normal((20_000, 64)).astype(np.float32)
+        matrix = EmbeddingMatrix(ids=[f"d{i}#0" for i in range(len(rows))], data=rows)
+        path = tmp_path / "big.demb"
+        tracemalloc.start()
+        try:
+            write_matrix(matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the id table is about 0.2 MB; one copy of the payload would be 5.1 MB
+        assert peak < rows.nbytes / 4
+        assert read_matrix(path).data.tobytes() == rows.tobytes()
 
 
 class TestFetch:
@@ -453,11 +468,21 @@ class TestFetchSendAhead:
             fetch_vectors(["h#0", "a#1", "o#2"], ["huge", "fine", "odd"], url, batch_size=1)
         assert state["requests"] <= 2
 
+    def test_earlier_zero_reported_before_later_nan(self, embed_server):
+        # each reply is normalized as it arrives, not once all are in
+        url, state = embed_server
+        state.update(zero_text="t1", nan_text="t3")
+        with pytest.raises(ValueError, match="zero-norm embedding for id 'u#1'"):
+            fetch_vectors([f"u#{i}" for i in range(6)], [f"t{i}" for i in range(6)], url,
+                          batch_size=2)
+
     @pytest.mark.parametrize("fault, problem", [
         ({"drop_one": True}, "returned 1 vectors for 2 texts"),
         ({"bad_body": True}, "with a body that is not JSON"),
         ({"raw_vectors": {"t1": [1.0] * 7}}, "vectors have differing dimensions"),
-    ], ids=["count", "not_json", "ragged"])
+        ({"nan_text": "t0"}, "non-finite embedding for id 'u#0'"),
+        ({"zero_text": "t1"}, "zero-norm embedding for id 'u#1'"),
+    ], ids=["count", "not_json", "ragged", "nan", "zero"])
     def test_first_bad_reply_stops_sending(self, keepalive_embed_server, fault, problem):
         url, state = keepalive_embed_server
         state.update(fault)
