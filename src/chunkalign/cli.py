@@ -323,9 +323,12 @@ def _prepare_align_inputs(args) -> dict:
         _require_file(args.noise_src_manifest, "source noise manifest")
     if args.noise_tgt_manifest is not None:
         _require_file(args.noise_tgt_manifest, "target noise manifest")
-    # NoiseConfig checks the ratio even when no noise manifest uses it
-    src_noise, tgt_noise = (NoiseConfig(ratio=args.noise_ratio, seed=seed)
-                            for seed in derive_side_seeds(args.noise_seed))
+    # NoiseConfig checks the ratio and the seed even when no noise manifest
+    # uses them; only a noise manifest pays for numpy's RNG to split the seed
+    src_noise = tgt_noise = NoiseConfig(ratio=args.noise_ratio, seed=args.noise_seed)
+    if args.noise_src_manifest is not None or args.noise_tgt_manifest is not None:
+        src_noise, tgt_noise = (NoiseConfig(ratio=args.noise_ratio, seed=seed)
+                                for seed in derive_side_seeds(args.noise_seed))
     src_docs = _load_side(args.src_manifest, args.noise_src_manifest, src_noise)
     tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
     gold = None

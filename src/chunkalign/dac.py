@@ -84,6 +84,12 @@ def aggregate(
     return scores
 
 
+def require_threshold(threshold: float) -> None:
+    """Reject a dac threshold outside [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+
+
 def select_pairs(
     scores: Sequence[DocPairScore],
     threshold: float = DEFAULT_THRESHOLD,
@@ -96,8 +102,7 @@ def select_pairs(
     dac, then descending margin_sum, then (src_doc, tgt_doc).  The selection
     is sorted by (src_doc, tgt_doc).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    require_threshold(threshold)
     surviving = [s for s in scores if s.dac >= threshold]
     surviving.sort(key=lambda s: (-s.dac, -s.margin_sum, s.src_doc, s.tgt_doc))
     if one_to_one:

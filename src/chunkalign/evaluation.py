@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .corpus import Document
-from .dac import DocPairScore, select_pairs
+from .dac import DocPairScore, require_threshold, select_pairs
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,12 @@ class NoiseConfig:
             raise ValueError(f"noise ratio must be finite, got {self.ratio}")
         if self.ratio < 0:
             raise ValueError(f"noise ratio must be >= 0, got {self.ratio}")
+        _require_seed(self.seed)
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"noise seed must be >= 0, got {seed}")
 
 
 def inject_noise(
@@ -149,9 +155,13 @@ def inject_noise(
     collisions = {doc.doc_id for doc in alignable} & set(pool_ids)
     if collisions:
         raise ValueError(f"noise pool shares doc ids with the corpus: {sorted(collisions)[:3]}")
-    needed = math.floor(config.ratio * len(alignable))
-    if needed > len(noise_pool):
-        raise ValueError(f"noise pool has {len(noise_pool)} docs but {needed} are needed")
+    # compared before flooring: a huge finite ratio makes an infinite product
+    wanted = config.ratio * len(alignable)
+    if wanted >= len(noise_pool) + 1:
+        count = math.floor(wanted) if math.isfinite(wanted) else f"more than {len(noise_pool)}"
+        raise ValueError(f"noise pool has {len(noise_pool)} docs but {count} are needed "
+                         f"(noise ratio {config.ratio} of {len(alignable)} docs)")
+    needed = math.floor(wanted)
     mixed = list(alignable)
     if needed:
         rng = np.random.default_rng(config.seed)
@@ -162,8 +172,7 @@ def inject_noise(
 
 def derive_side_seeds(seed: int) -> list[int]:
     """Independent source and target seeds split from one run seed."""
-    if seed < 0:
-        raise ValueError(f"noise seed must be >= 0, got {seed}")
+    _require_seed(seed)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64)]
 
 
@@ -173,17 +182,25 @@ def sweep_thresholds(
     thresholds: Sequence[float],
     one_to_one: bool = True,
 ) -> list[EvalReport]:
-    """Re-select and re-score the same candidate list at each threshold.
+    """Score select_pairs(scores, t, one_to_one) at each threshold t.
 
-    Thresholds must be sorted ascending and lie in [0, 1] (select_pairs
-    checks the range); an empty list yields an empty report list.
+    Thresholds must be sorted ascending and lie in [0, 1]; an empty list
+    yields an empty report list.  One selection at the lowest threshold
+    serves them all: the pairs at or above a higher threshold are a prefix of
+    select_pairs' ranking, led by dac, and greedy selection over a prefix
+    makes the same choices, so the selection at t is the lowest threshold's
+    selected pairs with dac >= t.
     """
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
+    for threshold in thresholds:
+        require_threshold(threshold)
+    if not thresholds:
+        return []
+    selected = select_pairs(scores, thresholds[0], one_to_one)
     reports = []
     for threshold in thresholds:
-        selected = select_pairs(scores, threshold, one_to_one)
-        predicted = [(s.src_doc, s.tgt_doc) for s in selected]
+        predicted = [(s.src_doc, s.tgt_doc) for s in selected if s.dac >= threshold]
         reports.append(score(predicted, gold, threshold=threshold))
     return reports
 

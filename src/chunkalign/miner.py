@@ -113,15 +113,19 @@ def margin_scores(
 
     denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
     kept = denominators != 0.0
-    cosines = cosines[kept]
+    dropped = len(kept) - int(np.count_nonzero(kept))
+    # masking copies all four arrays, so it is done only when it drops one
+    if dropped:
+        src, tgt, cosines, denominators = (
+            array[kept] for array in (src, tgt, cosines, denominators))
     return Candidates(
-        src_rows=src[kept],
-        tgt_rows=tgt[kept],
+        src_rows=src,
+        tgt_rows=tgt,
         cosines=cosines,
-        margins=cosines / denominators[kept],
+        margins=cosines / denominators,
         src_ids=x.ids,
         tgt_ids=y.ids,
-        zero_denominators=len(kept) - int(np.count_nonzero(kept)),
+        zero_denominators=dropped,
     )
 
 
@@ -199,18 +203,26 @@ def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
 
     Ties break on higher cosine, then on (src_id, tgt_id) compared as
     strings, so the outcome is a total function of the candidate set.  The
-    scan turns _SCAN_SLICE candidates at a time into Python ints, and only
-    accepted pairs become objects; the result is sorted by ids.
+    scan takes _SCAN_SLICE candidates at a time, drops in bulk those with an
+    endpoint taken before the slice (a taken flag never clears, so the loop
+    would reject them too), and turns the rest into Python ints; only
+    accepted pairs become objects.  The result is sorted by ids.
     """
     src_ranks = _string_ranks(candidates.src_ids)
     order = _scan_order(candidates, src_ranks)
     taken_src = bytearray(len(candidates.src_ids))
     taken_tgt = bytearray(len(candidates.tgt_ids))
+    # views that see every flag the loop sets
+    taken_src_view = np.frombuffer(taken_src, dtype=bool)
+    taken_tgt_view = np.frombuffer(taken_tgt, dtype=bool)
     accepted = []
     for start in range(0, len(order), _SCAN_SLICE):
         part = order[start:start + _SCAN_SLICE]
-        for c, i, j in zip(part.tolist(), candidates.src_rows[part].tolist(),
-                           candidates.tgt_rows[part].tolist()):
+        src_rows = candidates.src_rows[part]
+        tgt_rows = candidates.tgt_rows[part]
+        free = ~(taken_src_view[src_rows] | taken_tgt_view[tgt_rows])
+        for c, i, j in zip(part[free].tolist(), src_rows[free].tolist(),
+                           tgt_rows[free].tolist()):
             if taken_src[i] or taken_tgt[j]:
                 continue
             taken_src[i] = taken_tgt[j] = 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chunkalign
-from chunkalign.cli import main
+from chunkalign.cli import _prepare_align, build_parser, main
 from chunkalign.corpus import Document, load_corpus
 from chunkalign.embed_store import EmbeddingMatrix, normalize, read_matrix, write_matrix
 from chunkalign.miner import MarginParams, write_pairs_tsv
@@ -434,6 +434,23 @@ class TestInputFaultsBeforeOutput:
             "chunkalign: invalid input: noise seed must be >= 0, got -1\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_huge_noise_ratio(self, aligned_setup, capsys, command):
+        # 1e308 times the doc count overflows to inf, which cannot be floored
+        root = aligned_setup["root"]
+        docs = load_corpus(aligned_setup["src_manifest"])
+        noise = write_corpus(root, [replace(doc, doc_id=f"extra{doc.doc_id}") for doc in docs],
+                             "extra")
+        out_dir = root / "out"
+        argv = TestNonFiniteOptions.argv(aligned_setup, command, out_dir,
+                                         "--noise-src-manifest", str(noise),
+                                         "--noise-ratio", "1e308")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: noise pool has {len(docs)} docs but more than "
+            f"{len(docs)} are needed (noise ratio 1e+308 of {len(docs)} docs)\n")
+        assert not out_dir.exists()
+
 
 class TestConfigJson:
     """The exact bytes of config.json: keys sorted, two-space indent, every
@@ -522,6 +539,26 @@ class TestNoiseInjectionFlags:
         config = json.loads((out_dir / "config.json").read_text())
         assert config["noise_ratio"] == 0.5
         assert config["noise_seed"] == 3
+
+    def test_sampled_docs_pinned(self, tmp_path):
+        # the side seeds split from --noise-seed pick these pool docs; a change
+        # to how or when the seeds are derived must not move them
+        src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
+            n_pairs=10, chunks_per_doc=3, n_noise=8)
+        argv = []
+        for side, docs, matrix in [("src", src_docs, src_emb), ("tgt", tgt_docs, tgt_emb)]:
+            true = write_corpus(tmp_path, [d for d in docs if "noise" not in d.doc_id], side)
+            noise = write_corpus(tmp_path, [d for d in docs if "noise" in d.doc_id], f"n{side}")
+            write_matrix(matrix, tmp_path / f"{side}.demb")
+            argv += [f"--{side}-manifest", str(true), f"--noise-{side}-manifest", str(noise),
+                     f"--{side}-embeddings", str(tmp_path / f"{side}.demb")]
+        args = build_parser().parse_args(["align", *argv, "--noise-ratio", "0.5",
+                                          "--noise-seed", "3", "--out-dir", str(tmp_path)])
+        ctx = _prepare_align(args)
+        assert [d.doc_id for d in ctx["src_docs"][10:]] == [
+            "snoise0004", "snoise0001", "snoise0006", "snoise0007", "snoise0005"]
+        assert [d.doc_id for d in ctx["tgt_docs"][10:]] == [
+            "tnoise0000", "tnoise0005", "tnoise0004", "tnoise0002", "tnoise0006"]
 
 
 class TestSweep:
@@ -762,6 +799,18 @@ class TestStartup:
         assert result[0] == 0
         assert result[2] == ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
                              "chunkalign.embed_store"]
+
+    # numpy 1.x imports numpy.random along with numpy itself
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy < 2 imports numpy.random on import")
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_mining_without_noise_leaves_rng_out(self, aligned_setup, command):
+        # numpy's RNG only splits the noise seed, so a run without a noise
+        # manifest should not pay for importing it
+        argv = TestNonFiniteOptions.argv(aligned_setup, command, aligned_setup["root"] / "out")
+        probe = ("import sys; from chunkalign.cli import main; "
+                 "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+        assert _probe(probe, *argv) == "0 False"
 
 
 class TestImportCommand:

@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chunkalign.dac import DocPairScore, compute_dac
+from chunkalign.dac import DocPairScore, compute_dac, select_pairs
 from chunkalign.evaluation import (
     EvalReport,
     GoldSet,
@@ -185,6 +187,26 @@ class TestNoiseInjection:
         with pytest.raises(ValueError, match="duplicate doc ids"):
             inject_noise(alignable, pool, NoiseConfig(ratio=0.5, seed=0))
 
+    def test_huge_finite_ratio_named(self):
+        # 1e308 * 4 overflows to inf; flooring it would raise OverflowError
+        alignable = self.make_pool(4, prefix="a")
+        with pytest.raises(ValueError, match=r"^noise pool has 3 docs but more than 3 are "
+                                             r"needed \(noise ratio 1e\+308 of 4 docs\)$"):
+            inject_noise(alignable, self.make_pool(3), NoiseConfig(ratio=1e308, seed=0))
+
+    def test_insufficient_pool_names_ratio(self):
+        alignable = self.make_pool(10, prefix="a")
+        with pytest.raises(ValueError, match=r"^noise pool has 5 docs but 6 are needed "
+                                             r"\(noise ratio 0.6 of 10 docs\)$"):
+            inject_noise(alignable, self.make_pool(5), NoiseConfig(ratio=0.6, seed=0))
+        # a product just below the next whole count still floors to the pool size
+        assert len(inject_noise(alignable, self.make_pool(5),
+                                NoiseConfig(ratio=0.59999, seed=0))) == 15
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^noise seed must be >= 0, got -1$"):
+            NoiseConfig(seed=-1)
+
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError, match="noise ratio must be >= 0"):
             NoiseConfig(ratio=-0.1)
@@ -261,6 +283,41 @@ class TestSweep:
         for prev, cur in zip(reports, reports[1:]):
             assert cur.recall <= prev.recall + 1e-12
             assert cur.predicted_count <= prev.predicted_count
+
+
+@st.composite
+def tie_heavy_scores(draw):
+    """Document-pair scores, each (src, tgt) once, whose dac and margin_sum
+    values come from small pools, so that rankings tie often."""
+    keys = draw(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20))
+    margin_sums = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    scores = []
+    for i, j in sorted(keys):
+        n_src, n_tgt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n_aligned = draw(st.integers(0, min(n_src, n_tgt)))
+        scores.append(DocPairScore(f"s{i}", f"t{j}", n_src, n_tgt, n_aligned,
+                                   compute_dac(n_src, n_tgt, n_aligned), draw(margin_sums)))
+    return draw(st.permutations(scores))
+
+
+class TestSweepProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scores=tie_heavy_scores(), one_to_one=st.booleans())
+    def test_equals_one_selection_per_threshold(self, data, scores, one_to_one):
+        # thresholds: 0.0, the dacs themselves, just above them (so above
+        # every dac when taken from the largest), any value, with repeats
+        dacs = sorted({s.dac for s in scores}) or [0.0]
+        threshold = (st.just(0.0) | st.sampled_from(dacs)
+                     | st.sampled_from(dacs).map(lambda d: min(1.0, float(np.nextafter(d, 2))))
+                     | st.floats(0.0, 1.0))
+        thresholds = sorted(data.draw(st.lists(threshold, max_size=6)))
+        gold = GoldSet.from_pairs(data.draw(st.sets(st.sampled_from(
+            [(f"s{i}", f"t{i}") for i in range(6)]))))
+        expected = [
+            score([(s.src_doc, s.tgt_doc) for s in select_pairs(scores, t, one_to_one)], gold, t)
+            for t in thresholds
+        ]
+        assert sweep_thresholds(scores, gold, thresholds, one_to_one) == expected
 
 
 class TestReportWriters:

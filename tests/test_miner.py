@@ -104,6 +104,34 @@ class TestMarginScores:
         assert candidates.zero_denominators == 4
         assert greedy_match(candidates) == []
 
+    def test_zero_denominators_dropped_among_kept(self):
+        # a, b and c, d cancel out to neighborhood averages of 0 under k = 3,
+        # while e and f average 1/3: only the four pairs of {a, b} x {c, d}
+        # have a zero denominator
+        x = unit_matrix(["a", "b", "e"], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        y = unit_matrix(["c", "d", "f"], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        candidates = margin_scores(x, y, MarginParams(k=3))
+        assert candidates.zero_denominators == 4
+        kept = {(x.ids[i], y.ids[j]) for i, j in zip(candidates.src_rows, candidates.tgt_rows)}
+        assert kept == {("a", "f"), ("b", "f"), ("e", "c"), ("e", "d"), ("e", "f")}
+        assert np.all(np.isfinite(candidates.margins))
+
+    def test_no_masked_copies_without_zero_denominators(self):
+        # the search outputs take about 32 bytes per candidate and the union
+        # five arrays of 8; masked copies of four of those add 32 more, which
+        # put the peak at about 96 bytes per candidate
+        rng = np.random.default_rng(5)
+        x = unit_matrix([f"s{i}" for i in range(1000)], random_unit_matrix(rng, 1000, 16))
+        y = unit_matrix([f"t{j}" for j in range(1000)], random_unit_matrix(rng, 1000, 16))
+        tracemalloc.start()
+        try:
+            candidates = margin_scores(x, y, MarginParams(k=64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert candidates.zero_denominators == 0
+        assert peak < 84 * len(candidates)
+
     def test_empty_sides_rejected(self):
         empty = EmbeddingMatrix(ids=[], data=np.empty((0, 4), dtype=np.float32))
         full = unit_matrix(["a"], [[1.0, 0.0, 0.0, 0.0]])
@@ -278,9 +306,12 @@ value_pools = st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5]),
 
 
 class TestGreedyProperties:
+    # slices of 1 and 3 candidates make the bulk filter of taken endpoints
+    # act across many slices
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), src_ids=side_ids, tgt_ids=side_ids, pool=value_pools)
-    def test_matches_oracle(self, data, src_ids, tgt_ids, pool):
+    @given(data=st.data(), src_ids=side_ids, tgt_ids=side_ids, pool=value_pools,
+           scan_slice=st.sampled_from([1, 3, miner._SCAN_SLICE]))
+    def test_matches_oracle(self, data, src_ids, tgt_ids, pool, scan_slice):
         rows = data.draw(st.sets(st.tuples(st.integers(0, len(src_ids) - 1),
                                            st.integers(0, len(tgt_ids) - 1))))
         values = st.sampled_from(pool)
@@ -288,7 +319,8 @@ class TestGreedyProperties:
                   for i, j in sorted(rows)]
         tuples = data.draw(st.permutations(tuples))
         candidates = candidates_from_tuples(tuples, src_ids, tgt_ids)
-        assert greedy_match(candidates) == greedy_oracle(tuples)
+        with mock.patch.object(miner, "_SCAN_SLICE", scan_slice):
+            assert greedy_match(candidates) == greedy_oracle(tuples)
 
 
 class TestMine:
