@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import sys
-import urllib.parse
 from pathlib import Path
 
 from . import __version__
@@ -196,27 +195,17 @@ def _run_segment(args, ctx) -> None:
 
 
 def _prepare_fetch(args) -> dict:
+    from .embed_store import service_route
+
     _require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
-    _check_endpoint(endpoint)
+    service_route(endpoint)  # a bad endpoint or proxy is invalid input, found before any read
     units = read_units_tsv(args.units)
     if not units:
         raise ValueError(f"units file {args.units} is empty")
     return {"units": units, "endpoint": endpoint}
-
-
-def _check_endpoint(endpoint: str) -> None:
-    parts = urllib.parse.urlsplit(endpoint)
-    if parts.scheme not in ("http", "https"):
-        raise ValueError(f"embedding endpoint {endpoint!r} is not an http or https URL")
-    if not parts.hostname:
-        raise ValueError(f"embedding endpoint {endpoint!r} has no host")
-    try:
-        parts.port
-    except ValueError:
-        raise ValueError(f"embedding endpoint {endpoint!r} has an invalid port") from None
 
 
 def _run_fetch(args, ctx) -> None:
@@ -360,16 +349,14 @@ def _prepare_align(args) -> dict:
         if args.threshold is None:
             args.threshold = DEFAULT_THRESHOLD
     else:
-        for flag, name in [
-            (args.granularity, "--granularity"),
-            (args.threshold, "--threshold"),
+        for given, name in [
+            (args.granularity is not None, "--granularity"),
+            (args.threshold is not None, "--threshold"),
+            (args.keep_all, "--keep-all"),
+            (args.dump_chunk_pairs, "--dump-chunk-pairs"),
         ]:
-            if flag is not None:
+            if given:
                 raise ValueError(f"{name} is only valid with --mode dac")
-        if args.keep_all:
-            raise ValueError("--keep-all is only valid with --mode dac")
-        if args.dump_chunk_pairs:
-            raise ValueError("--dump-chunk-pairs is only valid with --mode dac")
         if args.method is None:
             from .pooling import PoolingMethod
 
@@ -377,8 +364,9 @@ def _prepare_align(args) -> dict:
     return _prepare_align_inputs(args)
 
 
-def _write_run_config(args, command: str, out_dir: Path) -> None:
-    """Echo the resolved settings of an align or sweep run to out_dir/config.json."""
+def _write_run_config(args, command: str) -> Path:
+    """Make the run's --out-dir, echo the resolved settings of an align or
+    sweep run to config.json in it and return it."""
     mode = getattr(args, "mode", "dac")
     method = getattr(args, "method", None)
     noisy = bool(args.noise_src_manifest or args.noise_tgt_manifest)
@@ -406,17 +394,22 @@ def _write_run_config(args, command: str, out_dir: Path) -> None:
         "workers": args.workers,
     }
     payload = json.dumps(config, indent=2, sort_keys=True)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
+    return out_dir
 
 
-def _write_report(reports, fmt: str, path: Path) -> None:
+def _write_report(reports, fmt: str, path: str | Path | None) -> None:
+    """Write reports as fmt, json or tsv, to path, or to stdout when path is None."""
     from .evaluation import write_reports_json, write_reports_tsv
 
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if fmt == "json":
-            write_reports_json(reports, handle)
-        else:
-            write_reports_tsv(reports, handle)
+    write = write_reports_json if fmt == "json" else write_reports_tsv
+    if path is None:
+        write(reports, sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            write(reports, handle)
 
 
 def _run_align(args, ctx) -> None:
@@ -424,14 +417,11 @@ def _run_align(args, ctx) -> None:
     from .evaluation import score
     from .miner import write_pairs_tsv
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(args, "align", out_dir)
-    params = ctx["params"]
+    out_dir = _write_run_config(args, "align")
     if args.mode == "dac":
         pairs, scores = mine_chunk_pairs(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-            args.granularity, params, args.workers,
+            args.granularity, ctx["params"], args.workers,
         )
         if args.dump_chunk_pairs:
             write_pairs_tsv(pairs, out_dir / "chunk_pairs.tsv")
@@ -443,7 +433,7 @@ def _run_align(args, ctx) -> None:
 
         mined = align_documents_pooled(
             ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
-            args.method, params, workers=args.workers,
+            args.method, ctx["params"], workers=args.workers,
         )
         write_pairs_tsv(mined, out_dir / "pairs.tsv")
         predicted = [(pair.src_id, pair.tgt_id) for pair in mined]
@@ -462,9 +452,7 @@ def _run_sweep(args, ctx) -> None:
     from .dac import mine_chunk_pairs
     from .evaluation import sweep_thresholds
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(args, "sweep", out_dir)
+    out_dir = _write_run_config(args, "sweep")
     _, scores = mine_chunk_pairs(
         ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
         args.granularity, ctx["params"], args.workers,
@@ -487,16 +475,10 @@ def _prepare_evaluate(args) -> dict:
 
 
 def _run_evaluate(args, ctx) -> None:
-    from .evaluation import score, write_reports_json, write_reports_tsv
+    from .evaluation import score
 
-    report = score(ctx["predicted"], ctx["gold"])
-    if args.out is None:
-        if args.format == "json":
-            write_reports_json([report], sys.stdout)
-        else:
-            write_reports_tsv([report], sys.stdout)
-    else:
-        _write_report([report], args.format, Path(args.out))
+    _write_report([score(ctx["predicted"], ctx["gold"])], args.format, args.out)
+    if args.out is not None:
         print(f"wrote report to {args.out}")
 
 

@@ -121,7 +121,7 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
 
 
 def make_unit_id(doc_id: str, chunk_index: int) -> str:
-    """The id of a document's chunk: "<doc_id>#<chunk_index>"."""
+    """The id of a document's chunk, "<doc_id>#<chunk_index>"; nothing parses it back."""
     return f"{doc_id}#{chunk_index}"
 
 
@@ -137,18 +137,6 @@ def segment(doc: Document, g: Granularity) -> list[ChunkUnit]:
                   JOINER.join(doc.sentences[start:start + size]))
         for index, start in enumerate(range(0, len(doc.sentences), size))
     ]
-
-
-def parse_unit_id(unit_id: str) -> tuple[str, int]:
-    """Split "<doc_id>#<chunk_index>" back into its parts.
-
-    Splits on the last '#', so doc ids that themselves contain '#' survive
-    the round trip.
-    """
-    doc_id, sep, raw_index = unit_id.rpartition("#")
-    if not sep or not doc_id or not raw_index.isdigit():
-        raise ValueError(f"malformed unit id: {unit_id!r}")
-    return doc_id, int(raw_index)
 
 
 def write_units_tsv(units: Iterable[ChunkUnit], path: str | Path) -> None:

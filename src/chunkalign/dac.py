@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .corpus import Document, Granularity, parse_unit_id, segment
+from .corpus import ChunkUnit, Document, Granularity, segment
 from .embed_store import EmbeddingMatrix
 from .miner import AlignedUnitPair, MarginParams, mine
 
@@ -49,39 +49,32 @@ class DocPairScore:
 
 def aggregate(
     chunk_pairs: Iterable[AlignedUnitPair],
-    chunk_counts_src: Mapping[str, int],
-    chunk_counts_tgt: Mapping[str, int],
+    src_units: Iterable[ChunkUnit],
+    tgt_units: Iterable[ChunkUnit],
 ) -> list[DocPairScore]:
-    """Group mined chunk pairs by (source doc, target doc) and score each group.
+    """Score each (source doc, target doc) group of mined chunk pairs, sorted by docs.
 
-    Document pairs with no mined chunk pair between them are absent from the
-    output.  The result is sorted by (src_doc, tgt_doc).
+    Each side's segmented units give each chunk's document and each document's
+    chunk count.  margin_sum adds a group's margins in chunk_pairs order.
     """
+    doc_of_src = {unit.unit_id: unit.doc_id for unit in src_units}
+    doc_of_tgt = {unit.unit_id: unit.doc_id for unit in tgt_units}
     grouped: dict[tuple[str, str], list] = {}
     for pair in chunk_pairs:
-        src_doc, _ = parse_unit_id(pair.src_id)
-        tgt_doc, _ = parse_unit_id(pair.tgt_id)
-        if src_doc not in chunk_counts_src:
-            raise ValueError(f"unknown source doc {src_doc!r} (from unit {pair.src_id!r})")
-        if tgt_doc not in chunk_counts_tgt:
-            raise ValueError(f"unknown target doc {tgt_doc!r} (from unit {pair.tgt_id!r})")
-        entry = grouped.setdefault((src_doc, tgt_doc), [0, 0.0])
+        key = (doc_of_src.get(pair.src_id), doc_of_tgt.get(pair.tgt_id))
+        if None in key:
+            side, unit_id = ("source", pair.src_id) if key[0] is None else ("target", pair.tgt_id)
+            raise ValueError(f"unknown {side} unit {unit_id!r}")
+        entry = grouped.setdefault(key, [0, 0.0])
         entry[0] += 1
         entry[1] += pair.margin
-    scores = [
-        DocPairScore(
-            src_doc=src_doc,
-            tgt_doc=tgt_doc,
-            n_src=chunk_counts_src[src_doc],
-            n_tgt=chunk_counts_tgt[tgt_doc],
-            n_aligned=n_aligned,
-            dac=compute_dac(chunk_counts_src[src_doc], chunk_counts_tgt[tgt_doc], n_aligned),
-            margin_sum=margin_sum,
-        )
-        for (src_doc, tgt_doc), (n_aligned, margin_sum) in grouped.items()
+    counts_src = Counter(doc_of_src.values())
+    counts_tgt = Counter(doc_of_tgt.values())
+    return [
+        DocPairScore(src_doc, tgt_doc, counts_src[src_doc], counts_tgt[tgt_doc], n_aligned,
+                     compute_dac(counts_src[src_doc], counts_tgt[tgt_doc], n_aligned), margin_sum)
+        for (src_doc, tgt_doc), (n_aligned, margin_sum) in sorted(grouped.items())
     ]
-    scores.sort(key=lambda s: (s.src_doc, s.tgt_doc))
-    return scores
 
 
 def require_threshold(threshold: float) -> None:
@@ -144,9 +137,7 @@ def mine_chunk_pairs(
     x = src_embeddings.select([unit.unit_id for unit in src_units])
     y = tgt_embeddings.select([unit.unit_id for unit in tgt_units])
     pairs = mine(x, y, params, workers=workers)
-    counts_src = Counter(unit.doc_id for unit in src_units)
-    counts_tgt = Counter(unit.doc_id for unit in tgt_units)
-    return pairs, aggregate(pairs, counts_src, counts_tgt)
+    return pairs, aggregate(pairs, src_units, tgt_units)
 
 
 def align_documents_dac(

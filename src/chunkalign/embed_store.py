@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import struct
 import time
 from dataclasses import dataclass
@@ -316,17 +317,49 @@ def _reply_vectors(status: int, body: bytes, count: int) -> list:
     return vectors
 
 
+def service_route(endpoint: str):
+    """The split endpoint URL, and the split http proxy URL that reaches it or None.
+
+    The proxy comes from $http_proxy, $https_proxy or $all_proxy unless $no_proxy
+    bypasses the endpoint's host, and is checked only then, like the endpoint.
+    Error messages show each URL without the credentials it may carry.
+    """
+    import urllib.parse
+    import urllib.request
+
+    def split(url: str, what: str, schemes: tuple[str, ...]):
+        name = f"{what} {re.sub('//[^/?#]*@', '//', url, count=1)!r}"
+        try:
+            parts = urllib.parse.urlsplit(url)
+        except ValueError as exc:  # an unclosed '[' before the host
+            raise ValueError(f"{name} is not a valid URL: {exc}") from None
+        if parts.scheme not in schemes:
+            raise ValueError(f"{name} is not an {' or '.join(schemes)} URL")
+        if not parts.hostname:
+            raise ValueError(f"{name} has no host")
+        try:
+            parts.port
+        except ValueError:
+            raise ValueError(f"{name} has an invalid port") from None
+        return parts
+
+    parts = split(endpoint, "embedding endpoint", ("http", "https"))
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(parts.hostname):
+        return parts, None
+    return parts, split(proxy if "://" in proxy else "http://" + proxy, "proxy", ("http",))
+
+
 class _ServiceConnection:
     """One HTTP connection to the embedding service, one request in flight at most.
 
-    The environment is read once, here: a proxy from $http_proxy,
-    $https_proxy or $all_proxy unless $no_proxy bypasses the host (plain
-    http goes to the proxy in absolute form, https through a CONNECT
-    tunnel), basic credentials from the URL's userinfo or else ~/.netrc, and
-    for https the default trust store (ssl.create_default_context, which
-    honours $SSL_CERT_FILE).  send() posts a batch; a failure to send is
-    raised by the receive() that follows, which returns the reply's status
-    and body.
+    The environment is read once, here: the route from service_route (plain
+    http goes to a proxy in absolute form, https through a CONNECT tunnel),
+    basic credentials from the URL's userinfo or else ~/.netrc, and for https
+    the default trust store (ssl.create_default_context, which honours
+    $SSL_CERT_FILE).  send() posts a batch; a failure to send is raised by the
+    receive() that follows, which returns the reply's status and body.
     """
 
     def __init__(self, endpoint: str, timeout: float):
@@ -334,9 +367,8 @@ class _ServiceConnection:
         import http.client
         import ssl
         import urllib.parse
-        import urllib.request
 
-        parts = urllib.parse.urlsplit(endpoint)
+        parts, proxy_parts = service_route(endpoint)
         https = parts.scheme == "https"
         netloc = parts.netloc.rpartition("@")[2]  # host[:port], never the userinfo
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
@@ -345,12 +377,8 @@ class _ServiceConnection:
         if credentials:
             self._headers["Authorization"] = _basic_auth(*credentials)
 
-        proxy = urllib.request.getproxies()
-        proxy = proxy.get(parts.scheme) or proxy.get("all")
-        if proxy and urllib.request.proxy_bypass(parts.hostname):
-            proxy = None
         context = ssl.create_default_context() if https else None
-        if proxy is None:
+        if proxy_parts is None:
             self._connection = (
                 http.client.HTTPSConnection(parts.hostname, parts.port, timeout=timeout,
                                             context=context)
@@ -358,14 +386,9 @@ class _ServiceConnection:
                                                          timeout=timeout)
             )
         else:
-            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            if proxy_parts.scheme != "http":
-                raise ValueError(f"proxy {proxy_parts.scheme}:// for the embedding service is "
-                                 "not supported, only http://")
-            proxy_headers = {}
             proxy_credentials = _userinfo(proxy_parts)
-            if proxy_credentials:
-                proxy_headers["Proxy-Authorization"] = _basic_auth(*proxy_credentials)
+            proxy_headers = ({"Proxy-Authorization": _basic_auth(*proxy_credentials)}
+                             if proxy_credentials else {})
             proxy_port = proxy_parts.port or 80
             if https:
                 self._connection = _tunnel_connection(

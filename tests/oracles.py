@@ -3,7 +3,8 @@
 These recompute search and margin results with plain per-query loops and
 lexsort-based ranking so the library's blocked/batched paths have something
 honest to be compared against; candidate_union_oracle keeps the sort-based
-candidate union that the miner's block-wise membership test replaced.  They
+candidate union that the miner's block-wise membership test replaced, and
+dac_reference composes the stage oracles into the whole dac path.  They
 also hold the conversions between the miner's array candidates and plain
 (src_id, tgt_id, cosine, margin) tuples.
 """
@@ -15,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from chunkalign import knn
+from chunkalign.dac import DocPairScore
 from chunkalign.miner import AlignedUnitPair, Candidates
 
 
@@ -143,6 +145,58 @@ def greedy_oracle(tuples):
         accepted.append(AlignedUnitPair(src_id=src_id, tgt_id=tgt_id, cosine=cosine, margin=margin))
     accepted.sort(key=lambda p: (p.src_id, p.tgt_id))
     return accepted
+
+
+def dac_reference(src_docs, tgt_docs, src_embeddings, tgt_embeddings, g, k, threshold,
+                  one_to_one=True, min_margin=None):
+    """The dac path from its definitions: (mined pairs, document-pair scores,
+    selected pairs).
+
+    Each side is chunked by a loop of its own, g sentences a chunk, which
+    records each chunk's document as it makes the chunk.  Then margin_oracle,
+    greedy_oracle, the min_margin floor after matching, and per document pair
+    n_aligned, margin_sum (added in mined order) and
+    dac = 2 * n_aligned / (n_src + n_tgt).  The selection keeps the pairs with
+    dac >= threshold, ranks them by (-dac, -margin_sum, src_doc, tgt_doc) and,
+    one-to-one, keeps a pair iff neither of its documents is taken.
+    """
+    def chunks(docs, embeddings):
+        row_of = {unit_id: row for row, unit_id in enumerate(embeddings.ids)}
+        ids, doc_of, count = [], {}, Counter()
+        for doc in docs:
+            for start in range(0, len(doc.sentences), g):
+                unit_id = f"{doc.doc_id}#{start // g}"
+                ids.append(unit_id)
+                doc_of[unit_id] = doc.doc_id
+                count[doc.doc_id] += 1
+        return ids, doc_of, count, embeddings.data[[row_of[unit_id] for unit_id in ids]]
+
+    src_ids, src_doc_of, n_src, x_rows = chunks(src_docs, src_embeddings)
+    tgt_ids, tgt_doc_of, n_tgt, y_rows = chunks(tgt_docs, tgt_embeddings)
+    margins = margin_oracle(x_rows, y_rows, k)
+    pairs = greedy_oracle([(src_ids[i], tgt_ids[j], float(cosine), float(margin))
+                           for (i, j), (cosine, margin) in margins.items()])
+    if min_margin is not None:
+        pairs = [pair for pair in pairs if pair.margin >= min_margin]
+    groups = {}
+    for pair in pairs:
+        key = (src_doc_of[pair.src_id], tgt_doc_of[pair.tgt_id])
+        n_aligned, margin_sum = groups.get(key, (0, 0.0))
+        groups[key] = (n_aligned + 1, margin_sum + pair.margin)
+    scores = [DocPairScore(src, tgt, n_src[src], n_tgt[tgt], n_aligned,
+                           2 * n_aligned / (n_src[src] + n_tgt[tgt]), margin_sum)
+              for (src, tgt), (n_aligned, margin_sum) in sorted(groups.items())]
+    ranked = sorted((s for s in scores if s.dac >= threshold),
+                    key=lambda s: (-s.dac, -s.margin_sum, s.src_doc, s.tgt_doc))
+    selected, taken_src, taken_tgt = [], set(), set()
+    for s in ranked:
+        if one_to_one and (s.src_doc in taken_src or s.tgt_doc in taken_tgt):
+            continue
+        taken_src.add(s.src_doc)
+        taken_tgt.add(s.tgt_doc)
+        selected.append(s)
+    selected.sort(key=lambda s: (s.src_doc, s.tgt_doc))
+    return pairs, scores, selected
 
 
 def pooled_oracle(rows, weights):

@@ -8,7 +8,6 @@ from chunkalign.corpus import (
     Document,
     Granularity,
     load_corpus,
-    parse_unit_id,
     read_units_tsv,
     segment,
     write_units_tsv,
@@ -160,18 +159,6 @@ class TestSegment:
                 assert " ".join(u.text for u in units) == " ".join(doc.sentences)
                 assert [u.unit_id for u in units] == [f"d#{i}" for i in range(len(units))]
                 assert units == segment(doc, Granularity(g))
-
-
-class TestParseUnitId:
-    def test_round_trip(self):
-        doc = Document(doc_id="weird#doc", lang="en", sentences=("a", "b", "c"))
-        for index, unit in enumerate(segment(doc, Granularity(2))):
-            assert parse_unit_id(unit.unit_id) == (unit.doc_id, index)
-
-    @pytest.mark.parametrize("bad", ["nohash", "d#", "#3", "d#x", "d#-1", "d#1_0"])
-    def test_malformed(self, bad):
-        with pytest.raises(ValueError, match="malformed unit id"):
-            parse_unit_id(bad)
 
 
 class TestUnitsTsv:

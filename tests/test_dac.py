@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chunkalign.corpus import Granularity
+from chunkalign.corpus import Document, Granularity, segment
 from chunkalign.dac import (
     DEFAULT_THRESHOLD,
     DocPairScore,
@@ -66,15 +67,19 @@ class TestSelectPairsThreshold:
         assert [(s.src_doc, s.tgt_doc) for s in select_pairs(scores)] == [("A", "B")]
 
 
+def units(*docs):
+    """The units that segment makes of (doc_id, chunk count) documents at -g 1."""
+    return [unit for doc_id, n in docs
+            for unit in segment(Document(doc_id, "xx", ("s",) * n), Granularity(1))]
+
+
 class TestAggregate:
     def test_two_pair_example(self):
         pairs = [
             AlignedUnitPair("A#0", "B#0", 0.9, 1.4),
             AlignedUnitPair("A#2", "B#1", 0.8, 1.1),
         ]
-        counts_src = {"A": 4}
-        counts_tgt = {"B": 2}
-        (s,) = aggregate(pairs, counts_src, counts_tgt)
+        (s,) = aggregate(pairs, units(("A", 4)), units(("B", 2)))
         assert (s.src_doc, s.tgt_doc) == ("A", "B")
         assert (s.n_src, s.n_tgt, s.n_aligned) == (4, 2, 2)
         assert s.dac == pytest.approx(2 / 3, abs=1e-12)
@@ -82,7 +87,7 @@ class TestAggregate:
 
     def test_unlinked_documents_absent(self):
         pairs = [AlignedUnitPair("A#0", "B#0", 0.9, 1.0)]
-        scores = aggregate(pairs, {"A": 1, "lonely": 5}, {"B": 1, "alone": 2})
+        scores = aggregate(pairs, units(("A", 1), ("lonely", 5)), units(("B", 1), ("alone", 2)))
         assert [(s.src_doc, s.tgt_doc) for s in scores] == [("A", "B")]
 
     def test_groups_split_by_target(self):
@@ -90,29 +95,33 @@ class TestAggregate:
             AlignedUnitPair("A#0", "B#0", 0.9, 1.0),
             AlignedUnitPair("A#1", "C#0", 0.9, 2.0),
         ]
-        scores = aggregate(pairs, {"A": 2}, {"B": 1, "C": 1})
+        scores = aggregate(pairs, units(("A", 2)), units(("B", 1), ("C", 1)))
         assert [(s.src_doc, s.tgt_doc) for s in scores] == [("A", "B"), ("A", "C")]
         assert [s.n_aligned for s in scores] == [1, 1]
 
     def test_unknown_doc_named(self):
         pairs = [AlignedUnitPair("ghost#0", "B#0", 0.9, 1.0)]
-        with pytest.raises(ValueError, match="unknown source doc 'ghost' .*'ghost#0'"):
-            aggregate(pairs, {"A": 1}, {"B": 1})
+        with pytest.raises(ValueError, match="unknown source unit 'ghost#0'"):
+            aggregate(pairs, units(("A", 1)), units(("B", 1)))
         pairs = [AlignedUnitPair("A#0", "ghost#0", 0.9, 1.0)]
-        with pytest.raises(ValueError, match="unknown target doc 'ghost'"):
-            aggregate(pairs, {"A": 1}, {"B": 1})
+        with pytest.raises(ValueError, match="unknown target unit 'ghost#0'"):
+            aggregate(pairs, units(("A", 1)), units(("B", 1)))
 
     def test_malformed_unit_id(self):
+        # ids are not parsed, so an id no segment could make is just unknown
         pairs = [AlignedUnitPair("nohash", "B#0", 0.9, 1.0)]
-        with pytest.raises(ValueError, match="malformed unit id"):
-            aggregate(pairs, {"A": 1}, {"B": 1})
+        with pytest.raises(ValueError, match="unknown source unit 'nohash'"):
+            aggregate(pairs, units(("A", 1)), units(("B", 1)))
+        pairs = [AlignedUnitPair("A#0", "B#x", 0.9, 1.0)]
+        with pytest.raises(ValueError, match="unknown target unit 'B#x'"):
+            aggregate(pairs, units(("A", 1)), units(("B", 1)))
 
     def test_output_sorted(self):
         pairs = [
             AlignedUnitPair("z#0", "t#0", 0.9, 1.0),
             AlignedUnitPair("a#0", "t#1", 0.9, 1.0),
         ]
-        scores = aggregate(pairs, {"z": 1, "a": 1}, {"t": 2})
+        scores = aggregate(pairs, units(("z", 1), ("a", 1)), units(("t", 2)))
         assert [(s.src_doc, s.tgt_doc) for s in scores] == [("a", "t"), ("z", "t")]
 
     def test_negative_margins_aggregate(self):
@@ -122,9 +131,35 @@ class TestAggregate:
             AlignedUnitPair("A#0", "B#0", -0.4, -0.8),
             AlignedUnitPair("A#1", "B#1", 0.2, 0.5),
         ]
-        (s,) = aggregate(pairs, {"A": 2}, {"B": 2})
+        (s,) = aggregate(pairs, units(("A", 2)), units(("B", 2)))
         assert s.n_aligned == 2
         assert s.margin_sum == pytest.approx(-0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_margin_sum_adds_in_input_order(self, order):
+        # 1e16 + 1.0 rounds back to 1e16, so the sum depends on the order
+        margins = [1e16, 1.0, -1e16]
+        pairs = [AlignedUnitPair(f"A#{i}", f"B#{i}", 0.5, margins[i]) for i in order]
+        (s,) = aggregate(pairs, units(("A", 3)), units(("B", 3)))
+        expected = 0.0
+        for pair in pairs:
+            expected += pair.margin
+        assert s.margin_sum == expected
+        assert s.margin_sum == (0.0 if order.index(1) < 2 else 1.0)
+
+    def test_hash_doc_ids_group_by_segmentation(self):
+        # "a#1" is both a chunk of doc "a" and the id of another doc, whose
+        # chunk "a#1#0" is in turn the id of a third doc
+        src = units(("a", 2), ("a#1", 1), ("a#1#0", 3))
+        pairs = [
+            AlignedUnitPair("a#1", "t#0", 0.9, 1.0),
+            AlignedUnitPair("a#1#0", "t#1", 0.9, 1.0),
+            AlignedUnitPair("a#1#0#2", "t#2", 0.9, 1.0),
+            AlignedUnitPair("a#1#0#0", "t#3", 0.9, 1.0),
+        ]
+        scores = aggregate(pairs, src, units(("t", 4)))
+        assert [(s.src_doc, s.n_src, s.n_aligned) for s in scores] == [
+            ("a", 2, 1), ("a#1", 1, 1), ("a#1#0", 3, 2)]
 
 
 class TestSelectPairs:

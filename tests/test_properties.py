@@ -1,4 +1,5 @@
-"""Hypothesis properties of the .demb reader, tokenize and the whole dac path."""
+"""Hypothesis properties of the .demb reader, tokenize and the whole dac path,
+which is also compared with a reference written from its definitions."""
 
 import tempfile
 import unicodedata
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 from chunkalign import knn
 from chunkalign.corpus import Document, Granularity
-from chunkalign.dac import align_documents_dac
+from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.miner import MarginParams
 from chunkalign.pooling import PoolingMethod, build_idf, tokenize, unit_weights
+from oracles import dac_reference
 from synth import planted_corpus
 
 
@@ -143,3 +145,73 @@ class TestAlignDocumentsDacProperties:
         src_order = data.draw(st.permutations(src_docs))
         tgt_order = data.draw(st.permutations(tgt_docs))
         assert align(src_order, tgt_order) == chosen
+
+
+# doc ids holding '#' that share prefixes, so that one doc's id is also the
+# id of another doc's chunk ("a#1" is chunk 1 of "a")
+_HASH_DOC_IDS = ["a", "a#1", "a#1#0", "a#0", "a#10", "a#1#1", "a#1#0#0", "a#", "a##0"]
+
+
+def _renamed(docs, matrix, names, g, drops):
+    """docs renamed to names, each losing its last drops[i] sentences, and
+    matrix with its unit ids renamed to match; surplus rows stay."""
+    new_id = {}
+    renamed = []
+    for doc, name, drop in zip(docs, names, drops):
+        for index in range(-(-len(doc.sentences) // g)):
+            new_id[f"{doc.doc_id}#{index}"] = f"{name}#{index}"
+        renamed.append(Document(name, doc.lang, doc.sentences[:len(doc.sentences) - drop]))
+    return renamed, EmbeddingMatrix(ids=[new_id[i] for i in matrix.ids], data=matrix.data)
+
+
+@st.composite
+def hash_id_corpora(draw):
+    """Quantized planted corpora at -g 1-3 with '#'-bearing doc ids, and
+    target documents that may lose trailing sentences, so that twins differ
+    in chunk count and last chunks are short."""
+    g = draw(st.integers(1, 3))
+    n_pairs = draw(st.integers(1, 5))
+    n_noise = draw(st.integers(0, 3))
+    src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
+        n_pairs=n_pairs,
+        chunks_per_doc=draw(st.integers(1, 4)),
+        n_noise=n_noise,
+        perturbation=draw(st.sampled_from([0.0, 0.1, 0.4])),
+        replace_frac=draw(st.sampled_from([0.0, 0.3])),
+        orthogonal_noise=False,
+        dim=draw(st.integers(4, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        granularity=g,
+    )
+    n_docs = n_pairs + n_noise
+    src_docs, src_emb = _renamed(src_docs, src_emb, draw(st.permutations(_HASH_DOC_IDS)),
+                                 g, [0] * n_docs)
+    drops = [draw(st.integers(0, len(doc.sentences) - 1)) for doc in tgt_docs]
+    tgt_docs, tgt_emb = _renamed(tgt_docs, tgt_emb, draw(st.permutations(_HASH_DOC_IDS)),
+                                 g, drops)
+    return src_docs, tgt_docs, quantized(src_emb), quantized(tgt_emb), g
+
+
+class TestDacReference:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=hash_id_corpora(), k=st.integers(1, 4), one_to_one=st.booleans(),
+           data=st.data())
+    def test_dac_path_matches_reference(self, corpus, k, one_to_one, data):
+        src_docs, tgt_docs, src_emb, tgt_emb, g = corpus
+        # the floor and the threshold are drawn from values the run reaches
+        unfloored, _, _ = dac_reference(src_docs, tgt_docs, src_emb, tgt_emb, g, k, 0.0)
+        min_margin = data.draw(st.none() | st.sampled_from([p.margin for p in unfloored] or [0.0]))
+        pairs, scores, _ = dac_reference(src_docs, tgt_docs, src_emb, tgt_emb, g, k, 0.0,
+                                         min_margin=min_margin)
+        threshold = data.draw(st.sampled_from(sorted({0.0, 1.0} | {s.dac for s in scores})))
+        _, _, selected = dac_reference(src_docs, tgt_docs, src_emb, tgt_emb, g, k, threshold,
+                                       one_to_one, min_margin)
+        params = MarginParams(k=k, min_margin=min_margin)
+
+        got_pairs, got_scores = mine_chunk_pairs(src_docs, tgt_docs, src_emb, tgt_emb,
+                                                 Granularity(g), params)
+        assert got_pairs == pairs
+        assert got_scores == scores
+        assert [s.margin_sum.hex() for s in got_scores] == [s.margin_sum.hex() for s in scores]
+        assert align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(g), params,
+                                   threshold, one_to_one=one_to_one) == selected
