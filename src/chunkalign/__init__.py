@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": ["ChunkUnit", "Document", "Granularity", "load_corpus", "segment"],
     "dac": ["DocPairScore", "aggregate", "align_documents_dac", "compute_dac", "select_pairs"],
-    "embed_store": ["EmbeddingMatrix", "normalize", "read_matrix", "write_matrix"],
+    "embed_store": ["EmbeddingMatrix", "normalize", "read_matrix", "read_normalized",
+                    "write_matrix"],
     "evaluation": ["EvalReport", "GoldSet", "NoiseConfig", "inject_noise", "load_gold",
                    "load_pairs", "score", "sweep_thresholds"],
     "miner": ["AlignedUnitPair", "MarginParams", "greedy_match", "margin_scores", "mine"],

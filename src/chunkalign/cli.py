@@ -263,7 +263,7 @@ def _run_import(args, ctx) -> None:
 
 
 def _prepare_pool(args) -> dict:
-    from .embed_store import normalize, read_matrix
+    from .embed_store import read_normalized
     from .pooling import PoolingMethod
 
     if args.method is None:
@@ -271,7 +271,7 @@ def _prepare_pool(args) -> dict:
     _require_file(args.manifest, "manifest")
     _require_file(args.embeddings, "embeddings file")
     docs = load_corpus(args.manifest)
-    matrix = normalize(read_matrix(args.embeddings))
+    matrix = read_normalized(args.embeddings)
     return {"docs": docs, "matrix": matrix}
 
 
@@ -297,7 +297,7 @@ def _load_side(manifest: str, noise_manifest: str | None, noise):
 
 
 def _prepare_align_inputs(args) -> dict:
-    from .embed_store import normalize, read_matrix
+    from .embed_store import read_normalized
     from .evaluation import NoiseConfig, derive_side_seeds, load_gold
     from .miner import MarginParams
 
@@ -324,8 +324,8 @@ def _prepare_align_inputs(args) -> dict:
     if getattr(args, "gold", None) is not None:
         _require_file(args.gold, "gold file")
         gold = load_gold(args.gold)
-    src_matrix = normalize(read_matrix(args.src_embeddings))
-    tgt_matrix = normalize(read_matrix(args.tgt_embeddings))
+    src_matrix = read_normalized(args.src_embeddings)
+    tgt_matrix = read_normalized(args.tgt_embeddings)
     if src_matrix.dim != tgt_matrix.dim:
         raise ValueError(f"embedding dimension mismatch: {src_matrix.dim} vs {tgt_matrix.dim}")
     return {

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -35,9 +37,9 @@ class Document:
             )
         if not self.sentences:
             raise ValueError(f"document {self.doc_id!r} has no sentences")
-        for i, sentence in enumerate(self.sentences):
-            if not sentence.strip():
-                raise ValueError(f"document {self.doc_id!r} has a blank sentence at position {i}")
+        if not all(map(str.strip, self.sentences)):
+            i = next(i for i, sentence in enumerate(self.sentences) if not sentence.strip())
+            raise ValueError(f"document {self.doc_id!r} has a blank sentence at position {i}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,16 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
     with or without a BOM, and hold one sentence per line; a line ends at LF,
     CRLF or CR only, so other Unicode line breaks (U+2028, NEL, ...) stay
     inside their sentence.  Blank lines are dropped and the remaining lines
-    are trimmed.
+    are trimmed.  A sentence file that is not UTF-8 is an error naming its
+    document, its path and the offset of the first byte that does not decode.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
+    # sentence paths are plain strings, joined and checked with os.path: a
+    # Path per document costs more than reading its file.  Messages show
+    # Path(path), which reads as manifest_path.parent / entry path does.
+    base = str(manifest_path.parent)
     documents: list[Document] = []
     seen: set[str] = set()
     with open(manifest_path, encoding="utf-8-sig") as handle:
@@ -102,22 +109,38 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
             if doc_id in seen:
                 raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
             seen.add(doc_id)
-            path = manifest_path.parent / str(entry["path"])
-            if not path.is_file():
-                raise FileNotFoundError(f"sentence file for doc {doc_id!r} not found: {path}")
-            sentences = tuple(
-                stripped
-                # read_text turns CRLF and CR into LF; splitlines would split more
-                for raw in path.read_text(encoding="utf-8-sig").split("\n")
-                if (stripped := raw.strip())
-            )
+            path = os.path.join(base, str(entry["path"]))
+            # checked before open: opening a FIFO would block
+            if not os.path.isfile(path):
+                raise FileNotFoundError(f"sentence file for doc {doc_id!r} not found: {Path(path)}")
+            sentences = tuple(filter(None, map(str.strip, _sentence_lines(doc_id, path))))
             if not sentences:
-                raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {path}")
+                raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {Path(path)}")
             documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]), sentences=sentences))
     if not documents:
         raise ValueError(f"manifest {manifest_path} lists no documents")
     logger.info("loaded %d documents from %s", len(documents), manifest_path)
     return documents
+
+
+def _sentence_lines(doc_id: str, path: str) -> list[str]:
+    """A sentence file's lines, split at LF, CRLF and CR only, BOM dropped.
+
+    The file is read unbuffered as bytes and decoded in one call: text mode
+    gives the same lines through a decoder object per file, at twice the cost.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec counts from after a BOM
+        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        raise ValueError(
+            f"sentence file for doc {doc_id!r} is not UTF-8 "
+            f"(undecodable byte at offset {offset}): {Path(path)}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def make_unit_id(doc_id: str, chunk_index: int) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
 import struct
 import time
@@ -24,7 +25,7 @@ _ID_LEN = struct.Struct("<I")
 _NUMBER_TYPES = {int, float}
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # rows per float64 block in normalize
-_NORMALIZE_BLOCK_ROWS = 1024
+_NORMALIZE_BLOCK_ROWS = 128
 
 
 @dataclass(eq=False)
@@ -90,22 +91,32 @@ def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     before the first zero row.
     """
     out = np.empty_like(matrix.data)
+    _normalize_rows(matrix.ids, matrix.data, out)
+    return EmbeddingMatrix(ids=matrix.ids, data=out)
+
+
+def _normalize_rows(ids: Sequence[str], rows: np.ndarray, out: np.ndarray) -> None:
+    """normalize's rows written to out, which may be rows itself.
+
+    Each row's float64 norm and quotient depend on that row alone, so the
+    block height does not change a bit of the result.
+    """
     first_zero = None
-    for start in range(0, len(matrix), _NORMALIZE_BLOCK_ROWS):
-        block = matrix.data[start:start + _NORMALIZE_BLOCK_ROWS].astype(np.float64)
+    for start in range(0, len(rows), _NORMALIZE_BLOCK_ROWS):
+        block = rows[start:start + _NORMALIZE_BLOCK_ROWS].astype(np.float64)
         # float32 values cannot overflow a float64 norm: it is finite iff the row is.
         norms = np.linalg.norm(block, axis=1)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
-            raise ValueError(f"non-finite embedding for id {matrix.ids[start + int(bad[0])]!r}")
+            raise ValueError(f"non-finite embedding for id {ids[start + int(bad[0])]!r}")
         zero = np.flatnonzero(norms == 0.0)
         if first_zero is None and zero.size:
             first_zero = start + int(zero[0])
         if first_zero is None:
-            out[start:start + len(block)] = block / norms[:, None]
+            block /= norms[:, None]
+            out[start:start + len(block)] = block
     if first_zero is not None:
-        raise ValueError(f"zero-norm embedding for id {matrix.ids[first_zero]!r}")
-    return EmbeddingMatrix(ids=matrix.ids, data=out)
+        raise ValueError(f"zero-norm embedding for id {ids[first_zero]!r}")
 
 
 def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> EmbeddingMatrix:
@@ -164,37 +175,68 @@ def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
 
 
 def read_matrix(path: str | Path) -> EmbeddingMatrix:
-    """Read a matrix written by write_matrix; the round trip is bit-exact."""
+    """Read a matrix written by write_matrix; the round trip is bit-exact.
+
+    The payload's size is checked against the file's before the rows are
+    allocated, and the rows are read straight into the matrix's one array.
+    The file's size comes from the file system, so path names a regular file.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, dim, count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic, not an embedding matrix file")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    if dim < 1:
-        raise ValueError(f"{path}: invalid header (dim={dim})")
-    offset = _HEADER.size
-    ids: list[str] = []
-    for _ in range(count):
-        if offset + _ID_LEN.size > len(blob):
-            raise ValueError(f"{path}: truncated id table")
-        (id_len,) = _ID_LEN.unpack_from(blob, offset)
-        offset += _ID_LEN.size
-        if offset + id_len > len(blob):
-            raise ValueError(f"{path}: truncated id table")
-        ids.append(blob[offset:offset + id_len].decode("utf-8"))
-        offset += id_len
-    expected = 4 * dim * count
-    if len(blob) - offset != expected:
-        raise ValueError(
-            f"{path}: payload size mismatch (expected {expected} bytes for "
-            f"{count} x {dim} float32, found {len(blob) - offset})"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=dim * count, offset=offset)
-    return EmbeddingMatrix(ids=ids, data=data.reshape(count, dim).copy())
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        blob = handle.read(_HEADER.size)
+        if len(blob) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, version, dim, count = _HEADER.unpack(blob)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic, not an embedding matrix file")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        if dim < 1:
+            raise ValueError(f"{path}: invalid header (dim={dim})")
+        expected = 4 * dim * count
+        # a well-formed id table ends where the payload begins; one that runs
+        # on past that point makes the file malformed, and the rest of the
+        # file is read only to tell which message applies
+        blob += handle.read(max(size - expected - _HEADER.size, 0))
+        offset = _HEADER.size
+        ids: list[str] = []
+        for _ in range(count):
+            end = offset + _ID_LEN.size
+            if end > len(blob):
+                if end > size:
+                    raise ValueError(f"{path}: truncated id table")
+                blob += handle.read()
+            (id_len,) = _ID_LEN.unpack_from(blob, offset)
+            offset, end = end, end + id_len
+            if end > len(blob):
+                if end > size:
+                    raise ValueError(f"{path}: truncated id table")
+                blob += handle.read()
+            ids.append(blob[offset:end].decode("utf-8"))
+            offset = end
+        found = size - offset
+        if found == expected:
+            data = np.empty((count, dim), dtype="<f4")
+            # a memoryview of an empty array cannot be cast to bytes; a short
+            # read means that the file shrank while it was read
+            found = handle.readinto(memoryview(data).cast("B")) if count else 0
+        if found != expected:
+            raise ValueError(
+                f"{path}: payload size mismatch (expected {expected} bytes for "
+                f"{count} x {dim} float32, found {found})"
+            )
+    return EmbeddingMatrix(ids=ids, data=data)
+
+
+def read_normalized(path: str | Path) -> EmbeddingMatrix:
+    """normalize(read_matrix(path)), bit for bit, with the rows normalized in
+    the array they were read into: no second copy of the matrix is made."""
+    matrix = read_matrix(path)
+    # the array is fresh and no caller has seen it yet, so writing into it
+    # leaves EmbeddingMatrix immutable for everyone else
+    _normalize_rows(matrix.ids, matrix.data, matrix.data)
+    return matrix
 
 
 def fetch_vectors(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -245,18 +245,28 @@ def mine(
     params: MarginParams = MarginParams(),
     workers: int = 1,
 ) -> list[AlignedUnitPair]:
-    """margin_scores, greedy_match, then drop pairs below params.min_margin
-    (after matching, so a dropped pair still blocks weaker pairs on its ids)."""
+    """margin_scores, the params.min_margin floor, then greedy_match.
+
+    Dropping the candidates below the floor before matching gives the pairs
+    that dropping the matched pairs below it would: the scan meets margins
+    in descending order, so a candidate below the floor can only block
+    candidates below it too.
+    """
     candidates = margin_scores(x, y, params, workers=workers)
-    matched = greedy_match(candidates)
-    pairs = matched
+    scored = len(candidates)
     if params.min_margin is not None:
-        pairs = [pair for pair in matched if pair.margin >= params.min_margin]
+        kept = candidates.margins >= params.min_margin
+        if not kept.all():
+            candidates = replace(
+                candidates, src_rows=candidates.src_rows[kept],
+                tgt_rows=candidates.tgt_rows[kept], cosines=candidates.cosines[kept],
+                margins=candidates.margins[kept])
+    pairs = greedy_match(candidates)
     logger.debug(
         "mining funnel: %d candidates, %d dropped for a zero margin denominator, "
-        "%d matched, %d kept at min_margin %s",
-        len(candidates), candidates.zero_denominators, len(matched), len(pairs),
-        params.min_margin,
+        "%d below min_margin %s, %d matched",
+        scored, candidates.zero_denominators, scored - len(candidates), params.min_margin,
+        len(pairs),
     )
     return pairs
 

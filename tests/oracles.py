@@ -4,20 +4,101 @@ These recompute search and margin results with plain per-query loops and
 lexsort-based ranking so the library's blocked/batched paths have something
 honest to be compared against; candidate_union_oracle keeps the sort-based
 candidate union that the miner's block-wise membership test replaced, and
-dac_reference composes the stage oracles into the whole dac path.  They
-also hold the conversions between the miner's array candidates and plain
+dac_reference composes the stage oracles into the whole dac path.
+read_matrix_reference and load_corpus_reference keep the whole-file and
+text-mode readers that the file-level ones replaced.  They also hold the
+conversions between the miner's array candidates and plain
 (src_id, tgt_id, cosine, margin) tuples.
 """
 
+import json
 import math
+import struct
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from chunkalign import knn
+from chunkalign.corpus import Document
 from chunkalign.dac import DocPairScore
+from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import AlignedUnitPair, Candidates
+
+
+def read_matrix_reference(path):
+    """embed_store.read_matrix parsing the file's bytes read whole, then
+    copying the payload out of them."""
+    path = Path(path)
+    blob = path.read_bytes()
+    header = struct.Struct("<4sHIQ")
+    if len(blob) < header.size:
+        raise ValueError(f"{path}: truncated header")
+    magic, version, dim, count = header.unpack_from(blob, 0)
+    if magic != b"DEMB":
+        raise ValueError(f"{path}: bad magic, not an embedding matrix file")
+    if version != 1:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    if dim < 1:
+        raise ValueError(f"{path}: invalid header (dim={dim})")
+    offset = header.size
+    ids = []
+    for _ in range(count):
+        if offset + 4 > len(blob):
+            raise ValueError(f"{path}: truncated id table")
+        (id_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        if offset + id_len > len(blob):
+            raise ValueError(f"{path}: truncated id table")
+        ids.append(blob[offset:offset + id_len].decode("utf-8"))
+        offset += id_len
+    expected = 4 * dim * count
+    if len(blob) - offset != expected:
+        raise ValueError(
+            f"{path}: payload size mismatch (expected {expected} bytes for "
+            f"{count} x {dim} float32, found {len(blob) - offset})"
+        )
+    data = np.frombuffer(blob, dtype="<f4", count=dim * count, offset=offset)
+    return EmbeddingMatrix(ids=ids, data=data.reshape(count, dim).copy())
+
+
+def load_corpus_reference(manifest_path):
+    """corpus.load_corpus with pathlib paths and sentence files read in text
+    mode, whose universal newlines turn CRLF and CR into LF."""
+    manifest_path = Path(manifest_path)
+    if not manifest_path.is_file():
+        raise FileNotFoundError(f"manifest not found: {manifest_path}")
+    documents = []
+    seen = set()
+    with open(manifest_path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{manifest_path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(entry, dict) or not {"doc_id", "lang", "path"} <= entry.keys():
+                raise ValueError(f"{manifest_path}:{lineno}: entry must carry doc_id, lang and path")
+            doc_id = str(entry["doc_id"])
+            if doc_id in seen:
+                raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
+            seen.add(doc_id)
+            path = manifest_path.parent / str(entry["path"])
+            if not path.is_file():
+                raise FileNotFoundError(f"sentence file for doc {doc_id!r} not found: {path}")
+            sentences = tuple(
+                stripped
+                for raw in path.read_text(encoding="utf-8-sig").split("\n")
+                if (stripped := raw.strip())
+            )
+            if not sentences:
+                raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {path}")
+            documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]), sentences=sentences))
+    if not documents:
+        raise ValueError(f"manifest {manifest_path} lists no documents")
+    return documents
 
 
 def brute_force_topk(index_rows, queries, k):

@@ -229,8 +229,8 @@ class TestAlignDac:
 
 
 class TestVerbose:
-    FUNNEL = re.compile(r"mining funnel: (\d+) candidates, (\d+) dropped .*, (\d+) matched, "
-                        r"(\d+) kept")
+    FUNNEL = re.compile(r"mining funnel: (\d+) candidates, (\d+) dropped .*, "
+                        r"(\d+) below min_margin \S+, (\d+) matched")
 
     def funnel_lines(self, caplog):
         return [record.getMessage() for record in caplog.records
@@ -248,11 +248,18 @@ class TestVerbose:
                                                  "--min-margin", str(floor))])
         assert code == 0
         (line,) = self.funnel_lines(caplog)
-        candidates, dropped, n_matched, kept = map(int, self.FUNNEL.search(line).groups())
+        candidates, dropped, below, n_matched = map(int, self.FUNNEL.search(line).groups())
         assert dropped == 0
-        assert n_matched == len(matched)
-        assert kept == len((out_dir / "chunk_pairs.tsv").read_text().splitlines()[1:])
-        assert candidates > n_matched > kept > 0
+        assert n_matched == len((out_dir / "chunk_pairs.tsv").read_text().splitlines()[1:])
+        assert candidates - below >= n_matched > 0
+        # each matched pair that the floor removes was a candidate below it
+        assert below >= len(matched) - n_matched > 0
+
+        caplog.clear()
+        assert run_cli(["--verbose", *align_argv(aligned_setup, aligned_setup["root"] / "v2")]) == 0
+        (line,) = self.funnel_lines(caplog)
+        assert "0 below min_margin None" in line
+        assert int(self.FUNNEL.search(line).group(4)) == len(matched)
 
 
 class TestAlignPooled:
@@ -408,6 +415,27 @@ class TestInputFaultsBeforeOutput:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == (
             f"chunkalign: invalid input: manifest {empty} lists no documents\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep", "pool", "segment"])
+    def test_sentence_file_not_utf8_is_named(self, aligned_setup, capsys, command):
+        manifest = aligned_setup["src_manifest"]
+        doc_id = json.loads(manifest.read_text(encoding="utf-8").splitlines()[1])["doc_id"]
+        text_path = manifest.parent / f"{doc_id}.txt"
+        text_path.write_bytes(b"\xef\xbb\xbfone\n\xfftwo\n")
+        out = aligned_setup["root"] / "out"
+        if command == "segment":
+            argv = ["segment", "--manifest", str(manifest), "--out", str(out)]
+        elif command == "pool":
+            argv = ["pool", "--manifest", str(manifest), "--embeddings",
+                    str(aligned_setup["src_emb"]), "--out", str(out)]
+        else:
+            argv = TestNonFiniteOptions.argv(aligned_setup, command, out)
+        assert run_cli(argv) == 1
+        # the offset counts the BOM: it is the byte's place in the file
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: sentence file for doc {doc_id!r} is not UTF-8 "
+            f"(undecodable byte at offset 7): {text_path}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value, problem", [

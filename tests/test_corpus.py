@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,23 @@ class TestLoadCorpus:
         manifest.write_text(json.dumps({"doc_id": "gone", "lang": "en", "path": "gone.txt"}) + "\n")
         with pytest.raises(FileNotFoundError, match="'gone'.*gone.txt"):
             load_corpus(manifest)
+
+    @pytest.mark.parametrize("entry_path, shown", [
+        ("./sub//gone.txt", "sub/gone.txt"), ("gone.txt", "gone.txt")])
+    def test_relative_paths_shown_as_joined_paths(self, tmp_path, monkeypatch, entry_path,
+                                                  shown):
+        # the path in a message reads as Path(manifest).parent / entry path
+        monkeypatch.chdir(tmp_path)
+        Path("m.jsonl").write_text(
+            json.dumps({"doc_id": "gone", "lang": "en", "path": entry_path}) + "\n")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            load_corpus("m.jsonl")
+        assert str(excinfo.value) == f"sentence file for doc 'gone' not found: {shown}"
+        Path(shown).parent.mkdir(exist_ok=True)
+        Path(shown).write_text(" \n")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus("./m.jsonl")
+        assert str(excinfo.value) == f"document 'gone' is empty (no non-blank lines): {shown}"
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
@@ -202,6 +220,10 @@ class TestDocument:
     def test_blank_sentence_rejected(self):
         with pytest.raises(ValueError, match="blank sentence"):
             Document(doc_id="d", lang="en", sentences=("ok", "  "))
+
+    def test_first_blank_sentence_named(self):
+        with pytest.raises(ValueError, match="^document 'd' has a blank sentence at position 2$"):
+            Document(doc_id="d", lang="en", sentences=("ok", "fine", "\u2028", "", "ok"))
 
     @pytest.mark.parametrize("doc_id", ["#a", "#", "b\tc", "d\re", "f\ng", "tail\n"])
     def test_doc_id_that_cannot_round_trip_rejected(self, doc_id):

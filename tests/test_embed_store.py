@@ -2,11 +2,16 @@ import base64
 import logging
 import socket
 import struct
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkalign import embed_store
 from chunkalign.embed_store import (
@@ -15,6 +20,7 @@ from chunkalign.embed_store import (
     matrix_from_vectors,
     normalize,
     read_matrix,
+    read_normalized,
     write_matrix,
 )
 from conftest import vector_for_text
@@ -233,6 +239,76 @@ class TestMatrixFile:
         # the id table is about 0.2 MB; one copy of the payload would be 5.1 MB
         assert peak < rows.nbytes / 4
         assert read_matrix(path).data.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("reader", [read_matrix, read_normalized])
+    def test_oversized_header_allocates_nothing_large(self, tmp_path, reader):
+        # one row of the largest dim (u32) claimed, 16 GiB; 8 payload bytes present
+        path = tmp_path / "huge.demb"
+        path.write_bytes(struct.pack("<4sHIQ", b"DEMB", 1, 2**32 - 1, 1)
+                         + struct.pack("<I", 1) + b"a" + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"payload size mismatch \(expected 17179869180 bytes for "
+                    r"1 x 4294967295 float32, found 8\)$")):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_read_normalized_holds_one_copy(self, tmp_path):
+        rows = np.random.default_rng(6).standard_normal((20_000, 256)).astype(np.float32)
+        path = tmp_path / "big.demb"
+        write_matrix(EmbeddingMatrix(ids=[f"d{i}#0" for i in range(len(rows))], data=rows), path)
+        tracemalloc.start()
+        try:
+            matrix = read_normalized(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows are 20.5 MB and the ids about 2.5 MB; the file's bytes, a
+        # payload copy or a second normalized array would each add 20.5 MB
+        assert peak < 1.25 * rows.nbytes
+        assert matrix.data.tobytes() == normalize(EmbeddingMatrix(matrix.ids, rows)).data.tobytes()
+
+
+# rows of a .demb payload: zero rows, finite rows of any scale, and rows
+# holding a NaN or an infinity
+_rows = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.lists(st.just(0.0), min_size=dim, max_size=dim)
+    | st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+               min_size=dim, max_size=dim)
+    | st.lists(st.floats(width=32), min_size=dim, max_size=dim),
+    max_size=12))
+
+
+def _outcome(read, path):
+    try:
+        matrix = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return matrix.ids, matrix.data.dtype, matrix.data.shape, matrix.data.tobytes()
+
+
+class TestReadNormalizedProperties:
+    # blocks of 1 to 3 rows make a dozen rows span several of them
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_rows, data=st.data(),
+           block_rows=st.sampled_from([1, 2, 3, embed_store._NORMALIZE_BLOCK_ROWS]))
+    def test_equals_normalize_of_read_matrix(self, rows, data, block_rows):
+        dim = len(rows[0]) if rows else data.draw(st.integers(1, 3))
+        matrix = EmbeddingMatrix(ids=[f"r{i}" for i in range(len(rows))],
+                                 data=np.array(rows, dtype=np.float32).reshape(len(rows), dim))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.demb"
+            write_matrix(matrix, path)
+            if data.draw(st.booleans()):  # a truncated file fails in read_matrix first
+                blob = path.read_bytes()
+                path.write_bytes(blob[:data.draw(st.integers(0, len(blob)))])
+            with mock.patch.object(embed_store, "_NORMALIZE_BLOCK_ROWS", block_rows):
+                expected = _outcome(lambda p: normalize(read_matrix(p)), path)
+                assert _outcome(read_normalized, path) == expected
 
 
 class TestFetch:

@@ -322,6 +322,23 @@ class TestGreedyProperties:
         with mock.patch.object(miner, "_SCAN_SLICE", scan_slice):
             assert greedy_match(candidates) == greedy_oracle(tuples)
 
+    # the floor is drawn from the pool too, so candidates sit exactly on it
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), src_ids=side_ids, tgt_ids=side_ids, pool=value_pools)
+    def test_floor_before_matching_equals_floor_after(self, data, src_ids, tgt_ids, pool):
+        rows = data.draw(st.sets(st.tuples(st.integers(0, len(src_ids) - 1),
+                                           st.integers(0, len(tgt_ids) - 1))))
+        values = st.sampled_from(pool)
+        tuples = [(src_ids[i], tgt_ids[j], data.draw(values), data.draw(values))
+                  for i, j in sorted(rows)]
+        tuples = data.draw(st.permutations(tuples))
+        floor = data.draw(values)
+        expected = [pair for pair in greedy_oracle(tuples) if pair.margin >= floor]
+        candidates = candidates_from_tuples(tuples, src_ids, tgt_ids)
+        # mine's own floor and matching, on candidates with tied margins
+        with mock.patch.object(miner, "margin_scores", return_value=candidates):
+            assert mine(None, None, MarginParams(min_margin=floor)) == expected
+
 
 class TestMine:
     def test_two_cluster_recovery(self):

@@ -1,6 +1,9 @@
-"""Hypothesis properties of the .demb reader, tokenize and the whole dac path,
-which is also compared with a reference written from its definitions."""
+"""Hypothesis properties of the .demb and corpus readers, tokenize and the
+whole dac path, which is also compared with a reference written from its
+definitions."""
 
+import codecs
+import json
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -12,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalign import knn
-from chunkalign.corpus import Document, Granularity
+from chunkalign.corpus import Document, Granularity, load_corpus
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.miner import MarginParams
 from chunkalign.pooling import PoolingMethod, build_idf, tokenize, unit_weights
-from oracles import dac_reference
+from oracles import dac_reference, load_corpus_reference, read_matrix_reference
 from synth import planted_corpus
 
 
@@ -60,6 +63,94 @@ class TestMatrixReaderFuzz:
             read_bytes(bytes(flipped))
         except ValueError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=demb_files(), data=st.data())
+    def test_damaged_file_reads_as_whole_file_parser(self, blob, data):
+        # one cut, one bit flip, or both: the same matrix or the same message
+        damaged = bytearray(blob[:data.draw(st.integers(0, len(blob)))])
+        if damaged and data.draw(st.booleans()):
+            bit = data.draw(st.integers(0, 8 * len(damaged) - 1))
+            damaged[bit // 8] ^= 1 << (bit % 8)
+
+        def outcome(read, path):
+            try:
+                matrix = read(path)
+            except ValueError as exc:
+                return str(exc)
+            return matrix.ids, matrix.data.tobytes()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.demb"
+            path.write_bytes(bytes(damaged))
+            assert outcome(read_matrix, path) == outcome(read_matrix_reference, path)
+
+
+# pieces of a sentence file: line ends of every kind, Unicode breaks that do
+# not end a line, blanks, a BOM inside the text, and bytes that are not UTF-8
+_TEXT_PIECES = [text.encode("utf-8") for text in ["\n", "\r", "\r\n", "\u2028", "\u0085", "\x0c",
+                                                 "\t", " ", "  ", "a", "é b", "\ufeff"]]
+_BAD_PIECES = [b"\xff", b"\xc3", b"\xed\xa0\x80", codecs.BOM_UTF8[:2]]
+
+
+@st.composite
+def _sentence_files(draw):
+    pieces = draw(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12))
+    if draw(st.integers(0, 3)) == 0:  # one file in four holds bytes that are not UTF-8
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_BAD_PIECES)))
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + b"".join(pieces)
+
+
+class TestCorpusReader:
+    @settings(max_examples=300, deadline=None)
+    @given(files=st.lists(_sentence_files(), min_size=1, max_size=3))
+    def test_reads_as_text_mode_reader(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = Path(tmp) / "manifest.jsonl"
+            for i, raw in enumerate(files):
+                (Path(tmp) / f"d{i}.txt").write_bytes(raw)
+            manifest.write_text("".join(
+                json.dumps({"doc_id": f"d{i}", "lang": "xx", "path": f"d{i}.txt"}) + "\n"
+                for i in range(len(files))), encoding="utf-8")
+
+            def outcome(load):
+                try:
+                    return load(manifest)
+                except Exception as exc:
+                    return type(exc), str(exc)
+
+            expected, got = outcome(load_corpus_reference), outcome(load_corpus)
+            # the first file that fails to decode, unless an empty one comes first
+            for i, raw in enumerate(files):
+                if not _decodes(raw):
+                    break
+                if not raw.decode("utf-8-sig").split():
+                    assert got == expected
+                    return
+            else:
+                assert got == expected
+                return
+            # the one deliberate change: the file that is not UTF-8 is named.
+            # Text mode reads a file that holds only the start of a BOM as
+            # empty; it is not UTF-8 either.
+            path = Path(tmp) / f"d{i}.txt"
+            assert expected[0] is UnicodeDecodeError or expected == (
+                ValueError, f"document 'd{i}' is empty (no non-blank lines): {path}")
+            bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+            try:
+                raw[bom:].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                offset = bom + exc.start
+            assert got == (ValueError, f"sentence file for doc 'd{i}' is not UTF-8 "
+                                       f"(undecodable byte at offset {offset}): {path}")
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # characters where one NFC pass over a text could differ from one per token:
