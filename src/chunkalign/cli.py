@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import Granularity, load_corpus, read_units_tsv, segment, write_units_tsv
+from .corpus import (Granularity, json_records, load_corpus, read_units_tsv, require_file, segment,
+                     write_units_tsv)
 
 # Each command imports the modules it runs inside its prepare and run
 # functions, and no parser default needs one, so segment, --help and usage
@@ -84,13 +85,6 @@ def _threshold_list(text: str) -> list[float]:
     if any(b < a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("thresholds must be sorted ascending")
     return values
-
-
-def _require_file(path: str, what: str) -> Path:
-    resolved = Path(path)
-    if not resolved.is_file():
-        raise FileNotFoundError(f"{what} not found: {resolved}")
-    return resolved
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare_segment(args) -> dict:
-    _require_file(args.manifest, "manifest")
     return {"docs": load_corpus(args.manifest)}
 
 
@@ -197,7 +190,7 @@ def _run_segment(args, ctx) -> None:
 def _prepare_fetch(args) -> dict:
     from .embed_store import service_route
 
-    _require_file(args.units, "units file")
+    require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
@@ -224,31 +217,28 @@ def _run_fetch(args, ctx) -> None:
 def _prepare_import(args) -> dict:
     from .embed_store import matrix_from_vectors
 
-    _require_file(args.units, "units file")
-    _require_file(args.vectors, "vectors file")
+    require_file(args.units, "units file")
+    require_file(args.vectors, "vectors file")
     units = read_units_tsv(args.units)
     if not units:
         raise ValueError(f"units file {args.units} is empty")
-    vectors: dict[str, list] = {}
-    with open(args.vectors, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.vectors}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or "unit_id" not in record or "vector" not in record:
-                raise ValueError(f"{args.vectors}:{lineno}: record must carry unit_id and vector")
-            unit_id = str(record["unit_id"])
-            if unit_id in vectors:
-                raise ValueError(f"{args.vectors}:{lineno}: duplicate vector for {unit_id!r}")
-            vectors[unit_id] = record["vector"]
+    vectors = _read_vectors(args.vectors)
     ids = [unit_id for unit_id, _ in units]
     missing = [unit_id for unit_id in ids if unit_id not in vectors]
     if missing:
         raise ValueError(f"no vector for unit {missing[0]!r} ({len(missing)} missing in total)")
     return {"matrix": matrix_from_vectors(ids, [vectors[unit_id] for unit_id in ids], "imported")}
+
+
+def _read_vectors(path: str) -> dict[str, list]:
+    """unit id -> vector of each record of a JSON-lines vectors file."""
+    vectors: dict[str, list] = {}
+    for lineno, record in json_records(path, "vectors file", "record", ("unit_id",), ("vector",)):
+        unit_id = record["unit_id"]
+        if unit_id in vectors:
+            raise ValueError(f"{path}:{lineno}: duplicate vector for {unit_id!r}")
+        vectors[unit_id] = record["vector"]
+    return vectors
 
 
 def _run_import(args, ctx) -> None:
@@ -268,8 +258,8 @@ def _prepare_pool(args) -> dict:
 
     if args.method is None:
         args.method = PoolingMethod.MP
-    _require_file(args.manifest, "manifest")
-    _require_file(args.embeddings, "embeddings file")
+    require_file(args.manifest, "manifest")
+    require_file(args.embeddings, "embeddings file")
     docs = load_corpus(args.manifest)
     matrix = read_normalized(args.embeddings)
     return {"docs": docs, "matrix": matrix}
@@ -304,14 +294,14 @@ def _prepare_align_inputs(args) -> dict:
     if args.k is None:
         args.k = MarginParams().k
     params = MarginParams(k=args.k, min_margin=args.min_margin)
-    _require_file(args.src_manifest, "source manifest")
-    _require_file(args.tgt_manifest, "target manifest")
-    _require_file(args.src_embeddings, "source embeddings file")
-    _require_file(args.tgt_embeddings, "target embeddings file")
+    require_file(args.src_manifest, "source manifest")
+    require_file(args.tgt_manifest, "target manifest")
+    require_file(args.src_embeddings, "source embeddings file")
+    require_file(args.tgt_embeddings, "target embeddings file")
     if args.noise_src_manifest is not None:
-        _require_file(args.noise_src_manifest, "source noise manifest")
+        require_file(args.noise_src_manifest, "source noise manifest")
     if args.noise_tgt_manifest is not None:
-        _require_file(args.noise_tgt_manifest, "target noise manifest")
+        require_file(args.noise_tgt_manifest, "target noise manifest")
     # NoiseConfig checks the ratio and the seed even when no noise manifest
     # uses them; only a noise manifest pays for numpy's RNG to split the seed
     src_noise = tgt_noise = NoiseConfig(ratio=args.noise_ratio, seed=args.noise_seed)
@@ -322,7 +312,6 @@ def _prepare_align_inputs(args) -> dict:
     tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
     gold = None
     if getattr(args, "gold", None) is not None:
-        _require_file(args.gold, "gold file")
         gold = load_gold(args.gold)
     src_matrix = read_normalized(args.src_embeddings)
     tgt_matrix = read_normalized(args.tgt_embeddings)
@@ -469,8 +458,7 @@ def _run_sweep(args, ctx) -> None:
 def _prepare_evaluate(args) -> dict:
     from .evaluation import load_gold, load_pairs
 
-    _require_file(args.pairs, "pairs file")
-    _require_file(args.gold, "gold file")
+    require_file(args.gold, "gold file")
     return {"predicted": load_pairs(args.pairs), "gold": load_gold(args.gold)}
 
 

@@ -8,7 +8,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -74,61 +74,20 @@ class ChunkUnit:
     text: str
 
 
-def load_corpus(manifest_path: str | Path) -> list[Document]:
-    """Load the documents listed in a JSON-lines manifest.
+def require_file(path: str | Path, what: str) -> None:
+    """Fail naming `what` unless path is a regular file: opening a FIFO would block."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{what} not found: {Path(path)}")
 
-    Each non-blank manifest line is an object with doc_id, lang and path, and
-    a manifest without one is an error; relative paths are resolved against
-    the manifest's directory.  Sentence files are UTF-8,
-    with or without a BOM, and hold one sentence per line; a line ends at LF,
-    CRLF or CR only, so other Unicode line breaks (U+2028, NEL, ...) stay
-    inside their sentence.  Blank lines are dropped and the remaining lines
-    are trimmed.  A sentence file that is not UTF-8 is an error naming its
-    document, its path and the offset of the first byte that does not decode.
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """The lines of a UTF-8 file, BOM dropped, split at LF, CRLF and CR only.
+
+    Other line breaks (U+2028, NEL, ...) stay inside their line.  Bytes that
+    do not decode are an error naming `what`, the path and their offset.
+    Read unbuffered and decoded in one call, a file costs half of text mode.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    # sentence paths are plain strings, joined and checked with os.path: a
-    # Path per document costs more than reading its file.  Messages show
-    # Path(path), which reads as manifest_path.parent / entry path does.
-    base = str(manifest_path.parent)
-    documents: list[Document] = []
-    seen: set[str] = set()
-    with open(manifest_path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{manifest_path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(entry, dict) or not {"doc_id", "lang", "path"} <= entry.keys():
-                raise ValueError(f"{manifest_path}:{lineno}: entry must carry doc_id, lang and path")
-            doc_id = str(entry["doc_id"])
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
-            seen.add(doc_id)
-            path = os.path.join(base, str(entry["path"]))
-            # checked before open: opening a FIFO would block
-            if not os.path.isfile(path):
-                raise FileNotFoundError(f"sentence file for doc {doc_id!r} not found: {Path(path)}")
-            sentences = tuple(filter(None, map(str.strip, _sentence_lines(doc_id, path))))
-            if not sentences:
-                raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {Path(path)}")
-            documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]), sentences=sentences))
-    if not documents:
-        raise ValueError(f"manifest {manifest_path} lists no documents")
-    logger.info("loaded %d documents from %s", len(documents), manifest_path)
-    return documents
-
-
-def _sentence_lines(doc_id: str, path: str) -> list[str]:
-    """A sentence file's lines, split at LF, CRLF and CR only, BOM dropped.
-
-    The file is read unbuffered as bytes and decoded in one call: text mode
-    gives the same lines through a decoder object per file, at twice the cost.
-    """
+    require_file(path, what)
     with open(path, "rb", buffering=0) as handle:
         raw = handle.read()
     try:
@@ -136,11 +95,76 @@ def _sentence_lines(doc_id: str, path: str) -> list[str]:
     except UnicodeDecodeError as exc:
         # the codec counts from after a BOM
         offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
-        raise ValueError(
-            f"sentence file for doc {doc_id!r} is not UTF-8 "
-            f"(undecodable byte at offset {offset}): {Path(path)}"
-        ) from None
+        raise ValueError(f"{what} is not UTF-8 (undecodable byte at offset {offset}): "
+                         f"{Path(path)}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def tsv_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of read_lines that is not blank or a '#' comment."""
+    for lineno, line in enumerate(read_lines(path, what), start=1):
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line
+
+
+def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, ...],
+                 other_keys: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of each non-blank line of a JSON-lines file.
+
+    A record, a `noun` in messages, is an object carrying text_keys and
+    other_keys; a text key's value, an id or a path, is a string or an
+    integer, turned into its decimal text.  Faults name the file and line.
+    """
+    keys = text_keys + other_keys
+    lines = read_lines(path, what)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            # with the LF that ended it, as text mode gave json the line: an
+            # error at the end of a record reports the same position
+            record = json.loads(line + "\n" if lineno < len(lines) else line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict) or not all(key in record for key in keys):
+            raise ValueError(f"{path}:{lineno}: {noun} must carry "
+                             f"{', '.join(keys[:-1])} and {keys[-1]}")
+        for key in text_keys:
+            if type(record[key]) not in (str, int):  # so a bool, whose type is bool, fails
+                raise ValueError(f"{path}:{lineno}: {key} must be a string or an integer")
+            record[key] = str(record[key])
+        yield lineno, record
+
+
+def load_corpus(manifest_path: str | Path) -> list[Document]:
+    """Load the documents listed in a JSON-lines manifest.
+
+    Each non-blank manifest line is an object with doc_id, lang and path, and
+    a manifest without one is an error; relative paths are resolved against
+    the manifest's directory.  A sentence file holds one sentence per line of
+    read_lines; blank lines are dropped and the rest are trimmed.
+    """
+    manifest_path = Path(manifest_path)
+    # sentence paths stay strings for os.path: a Path per document costs more
+    # than reading its file.  Messages show Path(path), as a Path join would.
+    base = str(manifest_path.parent)
+    documents: list[Document] = []
+    seen: set[str] = set()
+    for _, entry in json_records(manifest_path, "manifest", "entry", ("doc_id", "lang", "path")):
+        doc_id = entry["doc_id"]
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
+        seen.add(doc_id)
+        path = os.path.join(base, entry["path"])
+        sentences = tuple(filter(None, map(str.strip, read_lines(
+            path, f"sentence file for doc {doc_id!r}"))))
+        if not sentences:
+            raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {Path(path)}")
+        documents.append(Document(doc_id=doc_id, lang=entry["lang"], sentences=sentences))
+    if not documents:
+        raise ValueError(f"manifest {manifest_path} lists no documents")
+    logger.info("loaded %d documents from %s", len(documents), manifest_path)
+    return documents
 
 
 def make_unit_id(doc_id: str, chunk_index: int) -> str:
@@ -177,16 +201,12 @@ def read_units_tsv(path: str | Path) -> list[tuple[str, str]]:
     """
     rows: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            unit_id, sep, text = line.partition("\t")
-            if not sep or not unit_id:
-                raise ValueError(f"{path}:{lineno}: expected unit_id<TAB>text")
-            if unit_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
-            seen.add(unit_id)
-            rows.append((unit_id, text))
+    for lineno, line in tsv_lines(path, "units file"):
+        unit_id, sep, text = line.partition("\t")
+        if not sep or not unit_id:
+            raise ValueError(f"{path}:{lineno}: expected unit_id<TAB>text")
+        if unit_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
+        seen.add(unit_id)
+        rows.append((unit_id, text))
     return rows

@@ -6,11 +6,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, tsv_lines
 from .dac import DocPairScore, require_threshold, select_pairs
 
 
@@ -22,9 +22,8 @@ class GoldSet:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GoldSet":
-        seen_src: set[str] = set()
-        seen_tgt: set[str] = set()
-        collected: set[tuple[str, str]] = set()
+        pairs = list(pairs)
+        seen_src, seen_tgt = set(), set()
         for src_doc, tgt_doc in pairs:
             if src_doc in seen_src:
                 raise ValueError(f"doc {src_doc!r} appears in more than one gold pair")
@@ -32,45 +31,37 @@ class GoldSet:
                 raise ValueError(f"doc {tgt_doc!r} appears in more than one gold pair")
             seen_src.add(src_doc)
             seen_tgt.add(tgt_doc)
-            collected.add((src_doc, tgt_doc))
-        return cls(pairs=frozenset(collected))
+        return cls(pairs=frozenset(pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
+def _pair_rows(path: str | Path, what: str, expected: str) -> Iterator[tuple[int, tuple[str, str]]]:
+    """(line number, (first column, second column)) of each row of a pairs TSV."""
+    for lineno, line in tsv_lines(path, what):
+        parts = line.split("\t", 2)
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"{path}:{lineno}: expected {expected}")
+        yield lineno, (parts[0], parts[1])
+
+
 def load_gold(path: str | Path) -> GoldSet:
     """Read a gold TSV of src_doc<TAB>tgt_doc rows; '#' lines are comments."""
-    pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected src_doc<TAB>tgt_doc")
-            pairs.append((parts[0], parts[1]))
-    return GoldSet.from_pairs(pairs)
+    # every row is parsed before from_pairs meets a document twice
+    rows = _pair_rows(path, "gold file", "src_doc<TAB>tgt_doc")
+    return GoldSet.from_pairs([pair for _, pair in rows])
 
 
 def load_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Read predicted pairs from a TSV, taking the first two columns of each row."""
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected at least src<TAB>tgt")
-            pair = (parts[0], parts[1])
-            if pair in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate pair {pair!r}")
-            seen.add(pair)
-            pairs.append(pair)
+    for lineno, pair in _pair_rows(path, "pairs file", "at least src<TAB>tgt"):
+        if pair in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate pair {pair!r}")
+        seen.add(pair)
+        pairs.append(pair)
     return pairs
 
 

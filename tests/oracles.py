@@ -5,8 +5,11 @@ lexsort-based ranking so the library's blocked/batched paths have something
 honest to be compared against; candidate_union_oracle keeps the sort-based
 candidate union that the miner's block-wise membership test replaced, and
 dac_reference composes the stage oracles into the whole dac path.
-read_matrix_reference and load_corpus_reference keep the whole-file and
-text-mode readers that the file-level ones replaced.  They also hold the
+read_matrix_reference keeps the whole-file reader that the file-level one
+replaced, and load_corpus_reference, read_units_tsv_reference,
+read_vectors_reference, load_gold_reference and load_pairs_reference the
+text-mode readers that the one byte reader replaced; pooled_reference
+composes the stage oracles into the whole pooled path.  They also hold the
 conversions between the miner's array candidates and plain
 (src_id, tgt_id, cosine, margin) tuples.
 """
@@ -23,6 +26,7 @@ import numpy as np
 from chunkalign import knn
 from chunkalign.corpus import Document
 from chunkalign.dac import DocPairScore
+from chunkalign.evaluation import GoldSet
 from chunkalign.embed_store import EmbeddingMatrix
 from chunkalign.miner import AlignedUnitPair, Candidates
 
@@ -99,6 +103,81 @@ def load_corpus_reference(manifest_path):
     if not documents:
         raise ValueError(f"manifest {manifest_path} lists no documents")
     return documents
+
+
+def read_units_tsv_reference(path):
+    """corpus.read_units_tsv reading the file in text mode."""
+    rows = []
+    seen = set()
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            unit_id, sep, text = line.partition("\t")
+            if not sep or not unit_id:
+                raise ValueError(f"{path}:{lineno}: expected unit_id<TAB>text")
+            if unit_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
+            seen.add(unit_id)
+            rows.append((unit_id, text))
+    return rows
+
+
+def read_vectors_reference(path):
+    """The unit id -> vector dict that import-embeddings built from a
+    JSON-lines vectors file read in text mode."""
+    vectors = {}
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict) or "unit_id" not in record or "vector" not in record:
+                raise ValueError(f"{path}:{lineno}: record must carry unit_id and vector")
+            unit_id = str(record["unit_id"])
+            if unit_id in vectors:
+                raise ValueError(f"{path}:{lineno}: duplicate vector for {unit_id!r}")
+            vectors[unit_id] = record["vector"]
+    return vectors
+
+
+def load_gold_reference(path):
+    """evaluation.load_gold reading the file in text mode."""
+    pairs = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2 or not parts[0] or not parts[1]:
+                raise ValueError(f"{path}:{lineno}: expected src_doc<TAB>tgt_doc")
+            pairs.append((parts[0], parts[1]))
+    return GoldSet.from_pairs(pairs)
+
+
+def load_pairs_reference(path):
+    """evaluation.load_pairs reading the file in text mode."""
+    pairs = []
+    seen = set()
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2 or not parts[0] or not parts[1]:
+                raise ValueError(f"{path}:{lineno}: expected at least src<TAB>tgt")
+            pair = (parts[0], parts[1])
+            if pair in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate pair {pair!r}")
+            seen.add(pair)
+            pairs.append(pair)
+    return pairs
 
 
 def brute_force_topk(index_rows, queries, k):
@@ -308,3 +387,28 @@ def pooling_weights_oracle(documents, method):
                                 "lidf": len(words) * mean_idf}[method.value])
         weights.append(doc_weights)
     return weights
+
+
+def pooled_reference(src_docs, tgt_docs, src_embeddings, tgt_embeddings, method, k,
+                     min_margin=None):
+    """The pooled path from its definitions: the mined document pairs.
+
+    Each side's documents are pooled over their own side alone: the weights
+    of pooling_weights_oracle, the weighted sum and normalization of
+    pooled_oracle, stored as float32.  Then margin_oracle, greedy_oracle and
+    the min_margin floor after matching.
+    """
+    def pooled(docs, embeddings):
+        row_of = {unit_id: row for row, unit_id in enumerate(embeddings.ids)}
+        return np.array([
+            pooled_oracle(embeddings.data[[row_of[f"{doc.doc_id}#{i}"]
+                                           for i in range(len(doc.sentences))]], weights)
+            for doc, weights in zip(docs, pooling_weights_oracle(docs, method))
+        ], dtype=np.float32)
+
+    margins = margin_oracle(pooled(src_docs, src_embeddings), pooled(tgt_docs, tgt_embeddings), k)
+    pairs = greedy_oracle([(src_docs[i].doc_id, tgt_docs[j].doc_id, float(cosine), float(margin))
+                           for (i, j), (cosine, margin) in margins.items()])
+    if min_margin is not None:
+        pairs = [pair for pair in pairs if pair.margin >= min_margin]
+    return pairs

@@ -438,6 +438,44 @@ class TestInputFaultsBeforeOutput:
             f"(undecodable byte at offset 7): {text_path}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, spoiled", [
+        ("segment", "manifest"), ("pool", "manifest"),
+        ("fetch-embeddings", "units file"), ("import-embeddings", "units file"),
+        ("import-embeddings", "vectors file"),
+        ("align", "gold file"), ("sweep", "gold file"), ("evaluate", "gold file"),
+        ("evaluate", "pairs file"),
+    ])
+    def test_text_input_not_utf8_is_named(self, aligned_setup, capsys, command, spoiled):
+        root, gold = aligned_setup["root"], aligned_setup["gold"]
+        manifest = aligned_setup["src_manifest"]
+        units, vectors, pairs = root / "units.tsv", root / "vectors.jsonl", root / "pairs.tsv"
+        assert run_cli(["segment", "--manifest", str(manifest), "--out", str(units)]) == 0
+        vectors.write_text('{"unit_id": "s0000#0", "vector": [1.0, 0.0]}\n', encoding="utf-8")
+        pairs.write_text("s0000\tt0000\n", encoding="utf-8")
+        path = {"manifest": manifest, "units file": units, "vectors file": vectors,
+                "gold file": gold, "pairs file": pairs}[spoiled]
+        # a second line holding one byte that is not UTF-8
+        first, _, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(first + b"\n\xff\n" + rest)
+        out = root / "out"
+        argv = {
+            "segment": ["segment", "--manifest", manifest, "--out", out],
+            "pool": ["pool", "--manifest", manifest, "--embeddings", aligned_setup["src_emb"],
+                     "--out", out],
+            "fetch-embeddings": ["fetch-embeddings", "--units", units,
+                                 "--endpoint", "http://127.0.0.1:9/embed", "--out", out],
+            "import-embeddings": ["import-embeddings", "--units", units, "--vectors", vectors,
+                                  "--out", out],
+            "align": align_argv(aligned_setup, out, "--gold", gold),
+            "sweep": TestNonFiniteOptions.argv(aligned_setup, "sweep", out),
+            "evaluate": ["evaluate", "--pairs", pairs, "--gold", gold, "--out", out],
+        }[command]
+        assert run_cli([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {spoiled} is not UTF-8 "
+            f"(undecodable byte at offset {len(first) + 1}): {path}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, problem", [
         ("nan", "must be finite, got nan"),
         ("inf", "must be finite, got inf"),

@@ -1,8 +1,9 @@
-"""Hypothesis properties of the .demb and corpus readers, tokenize and the
-whole dac path, which is also compared with a reference written from its
-definitions."""
+"""Hypothesis properties of the .demb and text-input readers, tokenize and
+the whole dac and pooled paths, which are also compared with references
+written from their definitions."""
 
 import codecs
+import io
 import json
 import tempfile
 import unicodedata
@@ -15,12 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalign import knn
-from chunkalign.corpus import Document, Granularity, load_corpus
+from chunkalign.cli import _read_vectors
+from chunkalign.corpus import Document, Granularity, load_corpus, read_units_tsv
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
+from chunkalign.evaluation import load_gold, load_pairs
 from chunkalign.miner import MarginParams
+from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod, build_idf, tokenize, unit_weights
-from oracles import dac_reference, load_corpus_reference, read_matrix_reference
+from oracles import (dac_reference, load_corpus_reference, load_gold_reference,
+                     load_pairs_reference, pooled_reference, read_matrix_reference,
+                     read_units_tsv_reference, read_vectors_reference)
 from synth import planted_corpus
 
 
@@ -151,6 +157,141 @@ def _decodes(raw: bytes) -> bool:
     except UnicodeDecodeError:
         return False
     return True
+
+
+# One text input of each kind: (file name, its name in messages, the reader,
+# its text-mode reference, its own rows, well-formed or not).  Manifest
+# entries point at sentence files d0.txt, d1.txt and the blank e.txt.
+_TEXT_INPUTS = {
+    "manifest": ("manifest.jsonl", "manifest", load_corpus, load_corpus_reference, [
+        '{"doc_id": "d0", "lang": "en", "path": "d0.txt"}',
+        '{"doc_id": "d1", "lang": "xx", "path": "d1.txt"}',
+        '{"doc_id": 7, "lang": "en", "path": "d1.txt"}',
+        '{"doc_id": "n", "lang": "en", "path": 7}',
+        '{"doc_id": "e", "lang": "en", "path": "e.txt"}',
+        '{"doc_id": "d0", "lang": "en"}',
+        '{"doc_id": null, "lang": "en", "path": "d0.txt"}',
+        '{"doc_id": "t", "lang": true, "path": "d0.txt"}',
+        '{"doc_id": "f", "lang": 1.5, "path": "d0.txt"}',
+        '{"doc_id": "l", "lang": "en", "path": ["d0.txt"]}',
+        '{"doc_id": {}, "lang": "en", "path": "d0.txt"}',
+        '{"doc_id": "x", ', '[1]', 'null',
+    ]),
+    "units": ("units.tsv", "units file", read_units_tsv, read_units_tsv_reference, [
+        "u1\tone", "u2\ttwo words\t", "u1\tagain", "u3\t", "nounit", "\tnoid", " \t ",
+    ]),
+    "vectors": ("vectors.jsonl", "vectors file", _read_vectors, read_vectors_reference, [
+        '{"unit_id": "u1", "vector": [1, 0]}',
+        '{"unit_id": 2, "vector": [0, 1]}',
+        '{"unit_id": "2", "vector": []}',
+        '{"unit_id": null, "vector": [1]}',
+        '{"unit_id": false, "vector": [1]}',
+        '{"unit_id": 0.5, "vector": [1]}',
+        '{"unit_id": ["u1"], "vector": [1]}',
+        '{"unit_id": "u3"}',
+        '{"vector": [1]', '"u1"',
+    ]),
+    "gold": ("gold.tsv", "gold file", load_gold, load_gold_reference, [
+        "a\tb", "c\td", "a\te", "f\tb", "g\th\ti", "j", "\tk", "l\t",
+    ]),
+    "pairs": ("pairs.tsv", "pairs file", load_pairs, load_pairs_reference, [
+        "a\tb", "c\td\t0.5", "a\te", "g\th\ti", "j", "\tk", "l\t",
+    ]),
+}
+# what else a line may hold, and what may end it
+_LINE_NOISE = ["", " ", " \t ", "\x0c", "\u2028", "\u0085", "\ufeff", "# a\tb", "#"]
+_LINE_ENDS = ["\n", "\r", "\r\n", "", "\u2028", "\t"]
+
+
+@st.composite
+def _text_files(draw, rows):
+    lines = draw(st.lists(st.tuples(st.sampled_from(rows + _LINE_NOISE),
+                                    st.sampled_from(_LINE_ENDS)), max_size=8))
+    pieces = [(text + end).encode("utf-8") for text, end in lines]
+    if draw(st.integers(0, 3)) == 0:  # one file in four holds bytes that are not UTF-8
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_BAD_PIECES)))
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + b"".join(pieces)
+
+
+# per JSON-lines input, the keys a record must carry and those that hold text
+_RECORD_KEYS = {"manifest": (("doc_id", "lang", "path"), ("doc_id", "lang", "path")),
+                "vectors": (("unit_id", "vector"), ("unit_id",))}
+
+
+def _first_untyped_id(lines, kind):
+    """(line number, key) of the first record that carries every key and
+    whose id, lang or path holds neither a string nor an integer, or None."""
+    keys, text_keys = _RECORD_KEYS.get(kind, ((), ()))
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and all(key in record for key in keys):
+            for key in text_keys:
+                value = record[key]
+                if isinstance(value, bool) or not isinstance(value, (str, int)):
+                    return lineno, key
+    return None
+
+
+class TestTextInputReaders:
+    @pytest.mark.parametrize("kind", list(_TEXT_INPUTS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_text_mode_reference(self, kind, data):
+        name, what, read, reference, rows = _TEXT_INPUTS[kind]
+        raw = data.draw(_text_files(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            for doc, text in [("d0", "one\ntwo\n"), ("d1", "three\n"), ("e", " \n")]:
+                (Path(tmp) / f"{doc}.txt").write_text(text, encoding="utf-8")
+            path = Path(tmp) / name
+            path.write_bytes(raw)
+
+            def outcome(load):
+                try:
+                    return None, load(path)
+                except Exception as exc:
+                    return type(exc), str(exc)
+
+            got = outcome(read)
+            try:
+                # text mode's lines: LF, CRLF and CR end a line, each becoming LF
+                lines = io.StringIO(raw.decode("utf-8-sig"), newline=None).readlines()
+            except UnicodeDecodeError as exc:
+                # deliberate change 1: a file that is not UTF-8 is named, with
+                # the offset of the byte in the file, BOM included.
+                # Deliberate change 2: the file is decoded before any line is
+                # parsed.  Text mode decodes as it reads, so the bytes of an
+                # incomplete character at the end of the file lose to a fault
+                # on an earlier line, or to nothing: a lone start of a BOM reads
+                # as an empty file.
+                expected = outcome(reference)
+                assert expected[0] is UnicodeDecodeError or exc.reason == "unexpected end of data"
+                offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+                assert got == (ValueError, f"{what} is not UTF-8 "
+                                           f"(undecodable byte at offset {offset}): {path}")
+                return
+            if kind == "units":
+                # deliberate change 3: a whitespace-only line is skipped like a
+                # blank one, where text mode read " " as a row without a tab
+                # and " \t " as the unit " "
+                lines = ["\n" if not line.strip() else line for line in lines]
+            # deliberate change 4: an id, lang or path that is neither a
+            # string nor an integer is a fault of its line, where text mode
+            # read null as "None".  The reference then reads the lines before it.
+            untyped = _first_untyped_id(lines, kind)
+            if untyped is not None:
+                lines = lines[:untyped[0] - 1]
+            # the reference reads the lines text mode gave it, with LF ends;
+            # the BOM keeps a U+FEFF that starts the text
+            path.write_bytes("".join(lines).encode("utf-8-sig"))
+            expected = outcome(reference)
+            if untyped is not None and (expected[0] is None or
+                                        expected[1] == f"manifest {path} lists no documents"):
+                expected = (ValueError, f"{path}:{untyped[0]}: {untyped[1]} "
+                                        "must be a string or an integer")
+            assert got == expected
 
 
 # characters where one NFC pass over a text could differ from one per token:
@@ -306,3 +447,55 @@ class TestDacReference:
         assert [s.margin_sum.hex() for s in got_scores] == [s.margin_sum.hex() for s in scores]
         assert align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(g), params,
                                    threshold, one_to_one=one_to_one) == selected
+
+
+@st.composite
+def pooled_corpora(draw):
+    """Quantized sentence-level planted corpora whose sentences are redrawn
+    from a small vocabulary, so that documents and the two sides share
+    tokens and sentences differ in length and idf."""
+    src_docs, tgt_docs, src_emb, tgt_emb, _ = planted_corpus(
+        n_pairs=draw(st.integers(1, 6)),
+        chunks_per_doc=draw(st.integers(1, 3)),
+        n_noise=draw(st.integers(0, 3)),
+        perturbation=draw(st.sampled_from([0.0, 0.1, 0.4])),
+        replace_frac=draw(st.sampled_from([0.0, 0.3])),
+        orthogonal_noise=False,
+        dim=draw(st.integers(4, 16)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    sentence = st.lists(st.sampled_from(["a", "b", "c", "d", "e\u0301", "\u00e9"]),
+                        min_size=1, max_size=4).map(" ".join)
+
+    def reworded(docs):
+        return [Document(doc.doc_id, doc.lang, tuple(draw(sentence) for _ in doc.sentences))
+                for doc in docs]
+
+    return reworded(src_docs), reworded(tgt_docs), quantized(src_emb), quantized(tgt_emb)
+
+
+class TestPooledReference:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=pooled_corpora(), method=st.sampled_from(list(PoolingMethod)),
+           k=st.integers(1, 4), data=st.data())
+    def test_pooled_path_matches_reference(self, corpus, method, k, data):
+        src_docs, tgt_docs, src_emb, tgt_emb = corpus
+
+        def close(got, expected):
+            assert [(p.src_id, p.tgt_id) for p in got] == [(p.src_id, p.tgt_id) for p in expected]
+            for a, b in zip(got, expected):
+                assert a.cosine == pytest.approx(b.cosine, rel=1e-6)
+                assert a.margin == pytest.approx(b.margin, rel=1e-6)
+
+        got = align_documents_pooled(src_docs, tgt_docs, src_emb, tgt_emb, method,
+                                     MarginParams(k=k))
+        expected = pooled_reference(src_docs, tgt_docs, src_emb, tgt_emb, method, k)
+        close(got, expected)
+        # the floor is the margin one matched pair reaches, each path's own:
+        # the float64 GEMM and the reference's dot products may differ in
+        # the last ulp, and the pair at the floor stays in both
+        floor = data.draw(st.sampled_from(range(len(got))))
+        got = align_documents_pooled(src_docs, tgt_docs, src_emb, tgt_emb, method,
+                                     MarginParams(k=k, min_margin=got[floor].margin))
+        close(got, pooled_reference(src_docs, tgt_docs, src_emb, tgt_emb, method, k,
+                                    min_margin=expected[floor].margin))
