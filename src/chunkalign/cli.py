@@ -458,6 +458,7 @@ def _run_sweep(args, ctx) -> None:
 def _prepare_evaluate(args) -> dict:
     from .evaluation import load_gold, load_pairs
 
+    require_file(args.pairs, "pairs file")
     require_file(args.gold, "gold file")
     return {"predicted": load_pairs(args.pairs), "gold": load_gold(args.gold)}
 

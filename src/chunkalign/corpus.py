@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import logging
 import os
@@ -80,31 +81,51 @@ def require_file(path: str | Path, what: str) -> None:
         raise FileNotFoundError(f"{what} not found: {Path(path)}")
 
 
-def read_lines(path: str | Path, what: str) -> list[str]:
-    """The lines of a UTF-8 file, BOM dropped, split at LF, CRLF and CR only.
+# bytes read at a time; read_lines decodes the whole lines they complete
+_BLOCK = 1 << 16
 
-    Other line breaks (U+2028, NEL, ...) stay inside their line.  Bytes that
-    do not decode are an error naming `what`, the path and their offset.
-    Read unbuffered and decoded in one call, a file costs half of text mode.
+
+def read_lines(path: str | Path, what: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, BOM dropped, as text mode reads them.
+
+    LF, CRLF and CR end a line, which keeps one LF for it; other line breaks
+    (U+2028, NEL, ...) stay inside their line.  A byte that does not decode
+    is a fault of its line, raised after the lines before it as an error
+    naming `what`, the path and the byte's offset.  The file is decoded in
+    blocks cut after an LF, a byte no UTF-8 character holds, so memory does
+    not grow with the file.
     """
     require_file(path, what)
     with open(path, "rb", buffering=0) as handle:
-        raw = handle.read()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # the codec counts from after a BOM
-        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
-        raise ValueError(f"{what} is not UTF-8 (undecodable byte at offset {offset}): "
-                         f"{Path(path)}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        pending, start = bytearray(), 0  # bytes not decoded yet, and their offset
+        while True:
+            block = handle.read(_BLOCK)
+            pending += block
+            # the lines read whole, up to the last LF; at the end, all that is left
+            end = pending.rfind(b"\n", len(pending) - len(block)) + 1 if block else len(pending)
+            bom = len(codecs.BOM_UTF8) if not start and pending.startswith(codecs.BOM_UTF8) else 0
+            try:
+                text = pending[bom:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the byte's line starts after the last line break before it
+                bad = bom + exc.start
+                line_start = max(pending.rfind(b"\n", 0, bad), pending.rfind(b"\r", 0, bad)) + 1
+                yield from io.StringIO(pending[bom:line_start].decode("utf-8"), newline=None)
+                raise ValueError(f"{what} is not UTF-8 (undecodable byte at offset "
+                                 f"{start + bad}): {Path(path)}") from None
+            yield from io.StringIO(text, newline=None)
+            if not block:
+                return
+            del pending[:end]
+            start += end
 
 
 def tsv_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line of read_lines that is not blank or a '#' comment."""
+    """(line number, line without its LF) of each line of read_lines that is
+    not blank or a '#' comment."""
     for lineno, line in enumerate(read_lines(path, what), start=1):
         if line.strip() and not line.startswith("#"):
-            yield lineno, line
+            yield lineno, line.rstrip("\n")
 
 
 def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, ...],
@@ -116,14 +137,11 @@ def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, .
     integer, turned into its decimal text.  Faults name the file and line.
     """
     keys = text_keys + other_keys
-    lines = read_lines(path, what)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, what), start=1):
         if not line.strip():
             continue
         try:
-            # with the LF that ended it, as text mode gave json the line: an
-            # error at the end of a record reports the same position
-            record = json.loads(line + "\n" if lineno < len(lines) else line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(record, dict) or not all(key in record for key in keys):

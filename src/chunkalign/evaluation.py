@@ -22,8 +22,9 @@ class GoldSet:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GoldSet":
-        pairs = list(pairs)
-        seen_src, seen_tgt = set(), set()
+        seen_src: set[str] = set()
+        seen_tgt: set[str] = set()
+        collected: set[tuple[str, str]] = set()
         for src_doc, tgt_doc in pairs:
             if src_doc in seen_src:
                 raise ValueError(f"doc {src_doc!r} appears in more than one gold pair")
@@ -31,7 +32,8 @@ class GoldSet:
                 raise ValueError(f"doc {tgt_doc!r} appears in more than one gold pair")
             seen_src.add(src_doc)
             seen_tgt.add(tgt_doc)
-        return cls(pairs=frozenset(pairs))
+            collected.add((src_doc, tgt_doc))
+        return cls(pairs=frozenset(collected))
 
     def __len__(self) -> int:
         return len(self.pairs)

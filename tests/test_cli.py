@@ -476,6 +476,23 @@ class TestInputFaultsBeforeOutput:
             f"(undecodable byte at offset {len(first) + 1}): {path}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing, named", [
+        (("pairs", "gold"), "pairs"), (("pairs",), "pairs"), (("gold",), "gold"),
+    ])
+    def test_evaluate_names_missing_pairs_file_first(self, tmp_path, capsys, missing, named):
+        # the gold file is checked even when the pairs file holds a fault
+        paths = {"pairs": tmp_path / "pairs.tsv", "gold": tmp_path / "gold.tsv"}
+        paths["pairs"].write_text("no tab\n", encoding="utf-8")
+        paths["gold"].write_text("a\tb\n", encoding="utf-8")
+        for name in missing:
+            paths[name].unlink()
+        out = tmp_path / "report.json"
+        assert run_cli(["evaluate", "--pairs", str(paths["pairs"]), "--gold", str(paths["gold"]),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {named} file not found: {paths[named]}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, problem", [
         ("nan", "must be finite, got nan"),
         ("inf", "must be finite, got inf"),

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkalign import knn
+from chunkalign import corpus, knn
 from chunkalign.cli import _read_vectors
-from chunkalign.corpus import Document, Granularity, load_corpus, read_units_tsv
+from chunkalign.corpus import Document, Granularity, load_corpus, read_lines, read_units_tsv
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
 from chunkalign.evaluation import load_gold, load_pairs
@@ -255,23 +255,21 @@ class TestTextInputReaders:
                     return type(exc), str(exc)
 
             got = outcome(read)
+            fault = None  # of the first line the reference is not given
             try:
                 # text mode's lines: LF, CRLF and CR end a line, each becoming LF
-                lines = io.StringIO(raw.decode("utf-8-sig"), newline=None).readlines()
+                lines = _text_mode_lines(raw)
             except UnicodeDecodeError as exc:
                 # deliberate change 1: a file that is not UTF-8 is named, with
                 # the offset of the byte in the file, BOM included.
-                # Deliberate change 2: the file is decoded before any line is
-                # parsed.  Text mode decodes as it reads, so the bytes of an
-                # incomplete character at the end of the file lose to a fault
-                # on an earlier line, or to nothing: a lone start of a BOM reads
-                # as an empty file.
-                expected = outcome(reference)
-                assert expected[0] is UnicodeDecodeError or exc.reason == "unexpected end of data"
+                # Deliberate change 2: the byte is a fault of its line, met
+                # after the lines before it.  Text mode decodes a block ahead
+                # of the lines it gives, and reads a lone start of a BOM as an
+                # empty file.
                 offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
-                assert got == (ValueError, f"{what} is not UTF-8 "
-                                           f"(undecodable byte at offset {offset}): {path}")
-                return
+                fault = f"{what} is not UTF-8 (undecodable byte at offset {offset}): {path}"
+                line_start = max(raw.rfind(b"\n", 0, offset), raw.rfind(b"\r", 0, offset)) + 1
+                lines = _text_mode_lines(raw[:line_start])
             if kind == "units":
                 # deliberate change 3: a whitespace-only line is skipped like a
                 # blank one, where text mode read " " as a row without a tab
@@ -283,15 +281,44 @@ class TestTextInputReaders:
             untyped = _first_untyped_id(lines, kind)
             if untyped is not None:
                 lines = lines[:untyped[0] - 1]
+                fault = f"{path}:{untyped[0]}: {untyped[1]} must be a string or an integer"
             # the reference reads the lines text mode gave it, with LF ends;
             # the BOM keeps a U+FEFF that starts the text
             path.write_bytes("".join(lines).encode("utf-8-sig"))
             expected = outcome(reference)
-            if untyped is not None and (expected[0] is None or
-                                        expected[1] == f"manifest {path} lists no documents"):
-                expected = (ValueError, f"{path}:{untyped[0]}: {untyped[1]} "
-                                        "must be a string or an integer")
+            # that fault, unless a line before it has its own; checks of the
+            # whole input come after every line is read
+            if fault is not None and (
+                    expected[0] is None or expected[1] == f"manifest {path} lists no documents"
+                    or expected[1].endswith("appears in more than one gold pair")):
+                expected = (ValueError, fault)
             assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_text_files(["a\tb", "\u00e9\u00e9", "\r\n\r"]), block=st.integers(1, 9))
+    def test_lines_do_not_depend_on_block_size(self, raw, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(raw)
+
+            def outcome():
+                lines = []
+                try:
+                    for line in read_lines(path, "text file"):
+                        lines.append(line)
+                except ValueError as exc:
+                    return lines, str(exc)
+                return lines, None
+
+            with mock.patch.object(corpus, "_BLOCK", block):
+                in_blocks = outcome()
+            assert in_blocks == outcome()
+            if in_blocks[1] is None:
+                assert in_blocks[0] == _text_mode_lines(raw)
+
+
+def _text_mode_lines(raw: bytes) -> list[str]:
+    return io.StringIO(raw.decode("utf-8-sig"), newline=None).readlines()
 
 
 # characters where one NFC pass over a text could differ from one per token:
