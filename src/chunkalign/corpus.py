@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import codecs
-import io
 import json
 import logging
 import os
 from dataclasses import dataclass
+from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -85,19 +85,19 @@ def require_file(path: str | Path, what: str) -> None:
 _BLOCK = 1 << 16
 
 
-def read_lines(path: str | Path, what: str) -> Iterator[str]:
-    """The lines of a UTF-8 file, BOM dropped, as text mode reads them.
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its end) of each non-blank line of a file.
 
-    LF, CRLF and CR end a line, which keeps one LF for it; other line breaks
-    (U+2028, NEL, ...) stay inside their line.  A byte that does not decode
-    is a fault of its line, raised after the lines before it as an error
-    naming `what`, the path and the byte's offset.  The file is decoded in
-    blocks cut after an LF, a byte no UTF-8 character holds, so memory does
-    not grow with the file.
+    The file is UTF-8, BOM dropped; LF, CRLF and CR alone end a line, and
+    lines are numbered as in text mode.  A byte that does not decode is a
+    fault of its line, raised after the lines before it as an error naming
+    `what`, the path and the byte's offset.  The file is decoded in blocks
+    cut after an LF, a byte no UTF-8 character holds: memory stays flat.
     """
     require_file(path, what)
     with open(path, "rb", buffering=0) as handle:
-        pending, start = bytearray(), 0  # bytes not decoded yet, and their offset
+        # the bytes not decoded yet, their offset, the number of their first line
+        pending, start, lineno, fault = bytearray(), 0, 1, None
         while True:
             block = handle.read(_BLOCK)
             pending += block
@@ -110,39 +110,40 @@ def read_lines(path: str | Path, what: str) -> Iterator[str]:
                 # the byte's line starts after the last line break before it
                 bad = bom + exc.start
                 line_start = max(pending.rfind(b"\n", 0, bad), pending.rfind(b"\r", 0, bad)) + 1
-                yield from io.StringIO(pending[bom:line_start].decode("utf-8"), newline=None)
-                raise ValueError(f"{what} is not UTF-8 (undecodable byte at offset "
-                                 f"{start + bad}): {Path(path)}") from None
-            yield from io.StringIO(text, newline=None)
+                text = pending[bom:line_start].decode("utf-8")
+                fault = ValueError(f"{what} is not UTF-8 (undecodable byte at offset "
+                                   f"{start + bad}): {Path(path)}")
+            if "\r" in text:  # a scan that costs less than replacing nothing
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            yield from compress(zip(count(lineno), lines), map(str.strip, lines))
+            if fault:
+                raise fault
             if not block:
                 return
+            lineno += len(lines) - 1
             del pending[:end]
             start += end
 
 
 def tsv_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
-    """(line number, line without its LF) of each line of read_lines that is
-    not blank or a '#' comment."""
-    for lineno, line in enumerate(read_lines(path, what), start=1):
-        if line.strip() and not line.startswith("#"):
-            yield lineno, line.rstrip("\n")
+    """The (line number, line) pairs of read_lines that are not '#' comments."""
+    return ((lineno, line) for lineno, line in read_lines(path, what) if not line.startswith("#"))
 
 
 def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, ...],
                  other_keys: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
-    """(line number, record) of each non-blank line of a JSON-lines file.
+    """(line number, record) of each line of read_lines, a JSON-lines file.
 
     A record, a `noun` in messages, is an object carrying text_keys and
     other_keys; a text key's value, an id or a path, is a string or an
     integer, turned into its decimal text.  Faults name the file and line.
     """
     keys = text_keys + other_keys
-    for lineno, line in enumerate(read_lines(path, what), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, what):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(record, dict) or not all(key in record for key in keys):
             raise ValueError(f"{path}:{lineno}: {noun} must carry "
@@ -159,30 +160,28 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
 
     Each non-blank manifest line is an object with doc_id, lang and path, and
     a manifest without one is an error; relative paths are resolved against
-    the manifest's directory.  A sentence file holds one sentence per line of
-    read_lines; blank lines are dropped and the rest are trimmed.
+    the manifest's directory.  A sentence file holds one sentence, trimmed,
+    per line of read_lines.
     """
     manifest_path = Path(manifest_path)
     # sentence paths stay strings for os.path: a Path per document costs more
     # than reading its file.  Messages show Path(path), as a Path join would.
     base = str(manifest_path.parent)
-    documents: list[Document] = []
-    seen: set[str] = set()
+    documents: dict[str, Document] = {}
     for _, entry in json_records(manifest_path, "manifest", "entry", ("doc_id", "lang", "path")):
         doc_id = entry["doc_id"]
-        if doc_id in seen:
+        if doc_id in documents:
             raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
-        seen.add(doc_id)
         path = os.path.join(base, entry["path"])
-        sentences = tuple(filter(None, map(str.strip, read_lines(
-            path, f"sentence file for doc {doc_id!r}"))))
+        sentences = tuple(line.strip() for _, line in read_lines(
+            path, f"sentence file for doc {doc_id!r}"))
         if not sentences:
             raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {Path(path)}")
-        documents.append(Document(doc_id=doc_id, lang=entry["lang"], sentences=sentences))
+        documents[doc_id] = Document(doc_id=doc_id, lang=entry["lang"], sentences=sentences)
     if not documents:
         raise ValueError(f"manifest {manifest_path} lists no documents")
     logger.info("loaded %d documents from %s", len(documents), manifest_path)
-    return documents
+    return list(documents.values())
 
 
 def make_unit_id(doc_id: str, chunk_index: int) -> str:
@@ -217,14 +216,12 @@ def read_units_tsv(path: str | Path) -> list[tuple[str, str]]:
 
     Lines starting with '#' are comments, so unit ids cannot start with '#'.
     """
-    rows: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    rows: dict[str, str] = {}
     for lineno, line in tsv_lines(path, "units file"):
         unit_id, sep, text = line.partition("\t")
         if not sep or not unit_id:
             raise ValueError(f"{path}:{lineno}: expected unit_id<TAB>text")
-        if unit_id in seen:
+        if unit_id in rows:
             raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
-        seen.add(unit_id)
-        rows.append((unit_id, text))
-    return rows
+        rows[unit_id] = text
+    return list(rows.items())

@@ -213,7 +213,11 @@ def read_matrix(path: str | Path) -> EmbeddingMatrix:
                 if end > size:
                     raise ValueError(f"{path}: truncated id table")
                 blob += handle.read()
-            ids.append(blob[offset:end].decode("utf-8"))
+            try:
+                ids.append(blob[offset:end].decode("utf-8"))
+            except UnicodeDecodeError as exc:  # offsets count from the start of the file
+                raise ValueError(f"{path}: id {len(ids)} is not UTF-8 (undecodable byte at "
+                                 f"offset {offset + exc.start})") from None
             offset = end
         found = size - offset
         if found == expected:

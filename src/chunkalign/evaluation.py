@@ -57,14 +57,12 @@ def load_gold(path: str | Path) -> GoldSet:
 
 def load_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Read predicted pairs from a TSV, taking the first two columns of each row."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], None] = {}
     for lineno, pair in _pair_rows(path, "pairs file", "at least src<TAB>tgt"):
-        if pair in seen:
+        if pair in pairs:
             raise ValueError(f"{path}:{lineno}: duplicate pair {pair!r}")
-        seen.add(pair)
-        pairs.append(pair)
-    return pairs
+        pairs[pair] = None
+    return list(pairs)
 
 
 @dataclass(frozen=True)

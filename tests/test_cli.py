@@ -17,6 +17,7 @@ from chunkalign.miner import MarginParams, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
+from oracles import dac_reference
 from synth import planted_corpus
 
 
@@ -476,6 +477,52 @@ class TestInputFaultsBeforeOutput:
             f"(undecodable byte at offset {len(first) + 1}): {path}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["digits", "depth"])
+    @pytest.mark.parametrize("command", ["segment", "import-embeddings"])
+    def test_json_fault_is_named_at_its_line(self, aligned_setup, capsys, command, fault):
+        # an integer id beyond Python's 4300-digit limit raises a plain
+        # ValueError, and deep nesting a RecursionError: each is named as
+        # invalid JSON at its file and line
+        root, manifest = aligned_setup["root"], aligned_setup["src_manifest"]
+        units, vectors, out = root / "units.tsv", root / "vectors.jsonl", root / "out"
+        assert run_cli(["segment", "--manifest", str(manifest), "--out", str(units)]) == 0
+        vectors.write_text('{"unit_id": "s0000#0", "vector": [1.0, 0.0]}\n', encoding="utf-8")
+        path, key = (manifest, "doc_id") if command == "segment" else (vectors, "unit_id")
+        first, _, rest = path.read_text(encoding="utf-8").partition("\n")
+        if fault == "digits":
+            # the first record, its id a 5001-digit integer
+            lineno, line = 1, first.replace(json.dumps(json.loads(first)[key]), "7" * 5001)
+            text = line + "\n" + rest
+        else:
+            lineno, line = 2, "[" * 200000
+            text = first + "\n" + line + "\n" + rest
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises((ValueError, RecursionError)) as error:
+            json.loads(line)
+        argv = (["segment", "--manifest", manifest, "--out", out] if command == "segment" else
+                ["import-embeddings", "--units", units, "--vectors", vectors, "--out", out])
+        assert run_cli([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {path}:{lineno}: invalid JSON: {error.value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pool", "align"])
+    def test_demb_id_not_utf8_is_named(self, aligned_setup, capsys, command):
+        # the first id's first byte, after the 18-byte header and its u32 length
+        spoiled = aligned_setup["src_emb" if command == "pool" else "tgt_emb"]
+        blob = bytearray(spoiled.read_bytes())
+        blob[22] = 0xFF
+        spoiled.write_bytes(bytes(blob))
+        out = aligned_setup["root"] / "out"
+        argv = (["pool", "--manifest", str(aligned_setup["src_manifest"]),
+                 "--embeddings", str(spoiled), "--out", str(out)] if command == "pool"
+                else align_argv(aligned_setup, out))
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {spoiled}: id 0 is not UTF-8 "
+            "(undecodable byte at offset 22)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing, named", [
         (("pairs", "gold"), "pairs"), (("pairs",), "pairs"), (("gold",), "gold"),
     ])
@@ -709,6 +756,68 @@ class TestSweep:
     def test_out_of_range_threshold_usage_error(self, aligned_setup):
         out_dir = aligned_setup["root"] / "so"
         assert run_cli(self.sweep_argv(aligned_setup, out_dir, "0.5,1.5")) == 1
+
+
+class TestOutputsMatchReference:
+    """sweep's reports.tsv and align's pairs.tsv, with and without
+    --keep-all, hold the rows that oracles.dac_reference gives, formatted here."""
+
+    @pytest.fixture
+    def signed_setup(self, tmp_path):
+        # every entry is +-1/4 in dim 16: each row has norm 1 exactly, so
+        # normalizing keeps its bits, and every dot product is exact
+        src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
+            n_pairs=8, chunks_per_doc=3, n_noise=4, perturbation=0.6, replace_frac=0.3,
+            orthogonal_noise=False, dim=16, seed=7)
+        paths = {"src_manifest": write_corpus(tmp_path, src_docs, "src"),
+                 "tgt_manifest": write_corpus(tmp_path, tgt_docs, "tgt"),
+                 "src_emb": tmp_path / "src.demb", "tgt_emb": tmp_path / "tgt.demb",
+                 "gold": write_gold(tmp_path, gold), "root": tmp_path}
+        signed = [EmbeddingMatrix(ids=m.ids, data=np.where(m.data >= 0, 0.25, -0.25))
+                  for m in (src_emb, tgt_emb)]
+        write_matrix(signed[0], paths["src_emb"])
+        write_matrix(signed[1], paths["tgt_emb"])
+
+        def reference(threshold, one_to_one):
+            return dac_reference(src_docs, tgt_docs, *signed, 1, 4, threshold, one_to_one)
+
+        return paths, gold, reference
+
+    def test_sweep_reports(self, signed_setup):
+        paths, gold, reference = signed_setup
+        _, scores, _ = reference(0.0, True)
+        thresholds = sorted({0.0, 1.0} | {s.dac for s in scores})
+        out_dir = paths["root"] / "sweep"
+        argv = align_argv(paths, out_dir, "-k", "4", "--gold", str(paths["gold"]),
+                          "--thresholds", ",".join(map(repr, thresholds)))
+        assert run_cli(["sweep", *argv[1:]]) == 0
+        rows = ["# threshold\ttp\tpredicted\tgold\tprecision\trecall\tf1"]
+        for t in thresholds:
+            predicted = {(s.src_doc, s.tgt_doc) for s in reference(t, True)[2]}
+            tp = len(predicted & gold.pairs)
+            precision = tp / len(predicted) if predicted else 0.0
+            recall = tp / len(gold.pairs)
+            f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+            rows.append(f"{t:.6f}\t{tp}\t{len(predicted)}\t{len(gold.pairs)}\t"
+                        f"{precision:.6f}\t{recall:.6f}\t{f1:.6f}")
+        assert (out_dir / "reports.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        # the corpus is not trivial: some thresholds lose pairs, some keep wrong ones
+        assert len({row.split("\t")[2] for row in rows[1:]}) > 2
+        assert any(row.split("\t")[4] != "1.000000" for row in rows[1:])
+
+    @pytest.mark.parametrize("keep_all", [True, False])
+    def test_align_pairs(self, signed_setup, keep_all):
+        paths, _, reference = signed_setup
+        out_dir = paths["root"] / "align"
+        assert run_cli(align_argv(paths, out_dir, "-k", "4", "--threshold", "0.3",
+                                  *(["--keep-all"] if keep_all else []))) == 0
+        selected = reference(0.3, not keep_all)[2]
+        rows = ["# src_doc\ttgt_doc\tn_src\tn_tgt\tn_aligned\tdac"]
+        rows += [f"{s.src_doc}\t{s.tgt_doc}\t{s.n_src}\t{s.n_tgt}\t{s.n_aligned}\t{s.dac:.6f}"
+                 for s in selected]
+        assert (out_dir / "pairs.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        # only --keep-all keeps a document in more than one pair, as it does here
+        assert (len({s.src_doc for s in selected}) < len(selected)) == keep_all
 
 
 class TestEvaluate:

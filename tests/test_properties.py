@@ -4,7 +4,9 @@ written from their definitions."""
 
 import codecs
 import io
+import itertools
 import json
+import struct
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -20,7 +22,7 @@ from chunkalign.cli import _read_vectors
 from chunkalign.corpus import Document, Granularity, load_corpus, read_lines, read_units_tsv
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import EmbeddingMatrix, read_matrix, write_matrix
-from chunkalign.evaluation import load_gold, load_pairs
+from chunkalign.evaluation import GoldSet, load_gold, load_pairs, score, sweep_thresholds
 from chunkalign.miner import MarginParams
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod, build_idf, tokenize, unit_weights
@@ -82,6 +84,11 @@ class TestMatrixReaderFuzz:
         def outcome(read, path):
             try:
                 matrix = read(path)
+            except UnicodeDecodeError:
+                # deliberate change: an id that is not UTF-8 is named by its
+                # index and the offset of the byte in the file
+                index, offset = _first_undecodable_id(bytes(damaged))
+                return f"{path}: id {index} is not UTF-8 (undecodable byte at offset {offset})"
             except ValueError as exc:
                 return str(exc)
             return matrix.ids, matrix.data.tobytes()
@@ -90,6 +97,19 @@ class TestMatrixReaderFuzz:
             path = Path(tmp) / "m.demb"
             path.write_bytes(bytes(damaged))
             assert outcome(read_matrix, path) == outcome(read_matrix_reference, path)
+
+
+def _first_undecodable_id(blob: bytes) -> tuple[int, int]:
+    """(index, offset in the file of the byte) of the first id of a .demb
+    whose bytes are not UTF-8, the ids before it being whole."""
+    offset = struct.calcsize("<4sHIQ")
+    for index in itertools.count():
+        (length,) = struct.unpack_from("<I", blob, offset)
+        try:
+            blob[offset + 4:offset + 4 + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return index, offset + 4 + exc.start
+        offset += 4 + length
 
 
 # pieces of a sentence file: line ends of every kind, Unicode breaks that do
@@ -286,6 +306,15 @@ class TestTextInputReaders:
             # the BOM keeps a U+FEFF that starts the text
             path.write_bytes("".join(lines).encode("utf-8-sig"))
             expected = outcome(reference)
+            # deliberate change 5: a JSON error's position is the record's
+            # own, as json reads the line without its end
+            prefix = f"{path}:"
+            if expected[0] is ValueError and expected[1].startswith(prefix) and (
+                    ": invalid JSON: " in expected[1]):
+                lineno = int(expected[1][len(prefix):].partition(":")[0])
+                with pytest.raises(ValueError) as error:
+                    json.loads(lines[lineno - 1].rstrip("\n"))
+                expected = (ValueError, f"{path}:{lineno}: invalid JSON: {error.value}")
             # that fault, unless a line before it has its own; checks of the
             # whole input come after every line is read
             if fault is not None and (
@@ -304,8 +333,8 @@ class TestTextInputReaders:
             def outcome():
                 lines = []
                 try:
-                    for line in read_lines(path, "text file"):
-                        lines.append(line)
+                    for numbered in read_lines(path, "text file"):
+                        lines.append(numbered)
                 except ValueError as exc:
                     return lines, str(exc)
                 return lines, None
@@ -314,7 +343,10 @@ class TestTextInputReaders:
                 in_blocks = outcome()
             assert in_blocks == outcome()
             if in_blocks[1] is None:
-                assert in_blocks[0] == _text_mode_lines(raw)
+                # text mode's lines, numbered, without their LF, blank ones dropped
+                assert in_blocks[0] == [(lineno, line.rstrip("\n")) for lineno, line
+                                        in enumerate(_text_mode_lines(raw), start=1)
+                                        if line.strip()]
 
 
 def _text_mode_lines(raw: bytes) -> list[str]:
@@ -427,7 +459,7 @@ def _renamed(docs, matrix, names, g, drops):
 def hash_id_corpora(draw):
     """Quantized planted corpora at -g 1-3 with '#'-bearing doc ids, and
     target documents that may lose trailing sentences, so that twins differ
-    in chunk count and last chunks are short."""
+    in chunk count and last chunks are short; with the planted doc pairs."""
     g = draw(st.integers(1, 3))
     n_pairs = draw(st.integers(1, 5))
     n_noise = draw(st.integers(0, 3))
@@ -448,7 +480,8 @@ def hash_id_corpora(draw):
     drops = [draw(st.integers(0, len(doc.sentences) - 1)) for doc in tgt_docs]
     tgt_docs, tgt_emb = _renamed(tgt_docs, tgt_emb, draw(st.permutations(_HASH_DOC_IDS)),
                                  g, drops)
-    return src_docs, tgt_docs, quantized(src_emb), quantized(tgt_emb), g
+    planted = [(src.doc_id, tgt.doc_id) for src, tgt in zip(src_docs[:n_pairs], tgt_docs)]
+    return src_docs, tgt_docs, quantized(src_emb), quantized(tgt_emb), g, planted
 
 
 class TestDacReference:
@@ -456,7 +489,7 @@ class TestDacReference:
     @given(corpus=hash_id_corpora(), k=st.integers(1, 4), one_to_one=st.booleans(),
            data=st.data())
     def test_dac_path_matches_reference(self, corpus, k, one_to_one, data):
-        src_docs, tgt_docs, src_emb, tgt_emb, g = corpus
+        src_docs, tgt_docs, src_emb, tgt_emb, g, _ = corpus
         # the floor and the threshold are drawn from values the run reaches
         unfloored, _, _ = dac_reference(src_docs, tgt_docs, src_emb, tgt_emb, g, k, 0.0)
         min_margin = data.draw(st.none() | st.sampled_from([p.margin for p in unfloored] or [0.0]))
@@ -474,6 +507,25 @@ class TestDacReference:
         assert [s.margin_sum.hex() for s in got_scores] == [s.margin_sum.hex() for s in scores]
         assert align_documents_dac(src_docs, tgt_docs, src_emb, tgt_emb, Granularity(g), params,
                                    threshold, one_to_one=one_to_one) == selected
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=hash_id_corpora(), k=st.integers(1, 4), one_to_one=st.booleans(),
+           data=st.data())
+    def test_sweep_matches_reference(self, corpus, k, one_to_one, data):
+        src_docs, tgt_docs, src_emb, tgt_emb, g, planted = corpus
+
+        def reference(threshold):
+            return dac_reference(src_docs, tgt_docs, src_emb, tgt_emb, g, k, threshold,
+                                 one_to_one)
+
+        # thresholds from the dac values the run reaches, plus 0 and 1
+        _, scores, _ = reference(0.0)
+        reached = sorted({0.0, 1.0} | {s.dac for s in scores})
+        thresholds = sorted(data.draw(st.sets(st.sampled_from(reached), min_size=1)))
+        gold = GoldSet.from_pairs(data.draw(st.lists(st.sampled_from(planted), unique=True)))
+        expected = [score([(s.src_doc, s.tgt_doc) for s in reference(t)[2]], gold, t)
+                    for t in thresholds]
+        assert sweep_thresholds(scores, gold, thresholds, one_to_one) == expected
 
 
 @st.composite
