@@ -16,7 +16,8 @@ from .corpus import (Granularity, json_records, load_corpus, read_units_tsv, req
 # Each command imports the modules it runs inside its prepare and run
 # functions, and no parser default needs one, so segment, --help and usage
 # errors skip numpy and fetch-embeddings skips the mining modules: those
-# imports take most of a short command's startup.
+# imports take most of a short command's startup.  Only the types of
+# --method, --threshold and --thresholds load the module whose rule they check.
 
 logger = logging.getLogger(__name__)
 
@@ -35,55 +36,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _checked(check, value, message=None):
+    """check(value); its ValueError becomes the usage error, told as message or its own."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        return check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(message or str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _checked(int, text, f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _granularity(text: str) -> Granularity:
-    try:
-        return Granularity.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _checked(Granularity.from_string, text)
 
 
-def _unit_interval(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in [0, 1]")
+def _threshold(text: str) -> float:
+    from .dac import require_threshold
+
+    value = _checked(float, text, f"expected a float, got {text!r}")
+    _checked(require_threshold, value)
     return value
 
 
 def _pooling_method(text: str):
     from .pooling import PoolingMethod
 
-    try:
-        return PoolingMethod.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _checked(PoolingMethod.from_string, text)
 
 
 def _threshold_list(text: str) -> list[float]:
+    from .dac import require_thresholds
+
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("empty threshold list")
-    try:
-        values = [float(part) for part in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of floats") from None
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(f"threshold {value} outside [0, 1]")
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError("thresholds must be sorted ascending")
+    values = [_checked(float, part, "expected a comma-separated list of floats")
+              for part in parts]
+    _checked(require_thresholds, values)
     return values
 
 
@@ -143,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_align_inputs(p)
     p.add_argument("-g", "--granularity", type=_granularity, default=None,
                    help="sentences per chunk for --mode dac (default 1)")
-    p.add_argument("--threshold", type=_unit_interval, default=None,
+    p.add_argument("--threshold", type=_threshold, default=None,
                    help="document alignment coefficient cutoff for --mode dac (default 0.1)")
     p.add_argument("--method", type=_pooling_method, default=None,
                    help="pooling method for --mode pooled (default MP)")
@@ -195,10 +189,7 @@ def _prepare_fetch(args) -> dict:
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
     service_route(endpoint)  # a bad endpoint or proxy is invalid input, found before any read
-    units = read_units_tsv(args.units)
-    if not units:
-        raise ValueError(f"units file {args.units} is empty")
-    return {"units": units, "endpoint": endpoint}
+    return {"units": read_units_tsv(args.units), "endpoint": endpoint}
 
 
 def _run_fetch(args, ctx) -> None:
@@ -220,8 +211,6 @@ def _prepare_import(args) -> dict:
     require_file(args.units, "units file")
     require_file(args.vectors, "vectors file")
     units = read_units_tsv(args.units)
-    if not units:
-        raise ValueError(f"units file {args.units} is empty")
     vectors = _read_vectors(args.vectors)
     ids = [unit_id for unit_id, _ in units]
     missing = [unit_id for unit_id in ids if unit_id not in vectors]

@@ -101,8 +101,10 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
         while True:
             block = handle.read(_BLOCK)
             pending += block
-            # the lines read whole, up to the last LF; at the end, all that is left
-            end = pending.rfind(b"\n", len(pending) - len(block)) + 1 if block else len(pending)
+            # the lines read whole, up to the last LF; at the end, which a regular
+            # file (require_file) marks with a short read, all that is left
+            last = len(block) < _BLOCK
+            end = len(pending) if last else pending.rfind(b"\n", len(pending) - len(block)) + 1
             bom = len(codecs.BOM_UTF8) if not start and pending.startswith(codecs.BOM_UTF8) else 0
             try:
                 text = pending[bom:end].decode("utf-8")
@@ -119,7 +121,7 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
             yield from compress(zip(count(lineno), lines), map(str.strip, lines))
             if fault:
                 raise fault
-            if not block:
+            if last:
                 return
             lineno += len(lines) - 1
             del pending[:end]
@@ -168,16 +170,20 @@ def load_corpus(manifest_path: str | Path) -> list[Document]:
     # than reading its file.  Messages show Path(path), as a Path join would.
     base = str(manifest_path.parent)
     documents: dict[str, Document] = {}
-    for _, entry in json_records(manifest_path, "manifest", "entry", ("doc_id", "lang", "path")):
+    for lineno, entry in json_records(manifest_path, "manifest", "entry",
+                                      ("doc_id", "lang", "path")):
         doc_id = entry["doc_id"]
         if doc_id in documents:
-            raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
+            raise ValueError(f"{manifest_path}:{lineno}: duplicate doc_id {doc_id!r}")
         path = os.path.join(base, entry["path"])
         sentences = tuple(line.strip() for _, line in read_lines(
             path, f"sentence file for doc {doc_id!r}"))
         if not sentences:
             raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {Path(path)}")
-        documents[doc_id] = Document(doc_id=doc_id, lang=entry["lang"], sentences=sentences)
+        try:
+            documents[doc_id] = Document(doc_id=doc_id, lang=entry["lang"], sentences=sentences)
+        except ValueError as exc:  # a doc id no unit id or TSV line can carry
+            raise ValueError(f"{manifest_path}:{lineno}: {exc}") from None
     if not documents:
         raise ValueError(f"manifest {manifest_path} lists no documents")
     logger.info("loaded %d documents from %s", len(documents), manifest_path)
@@ -212,7 +218,7 @@ def write_units_tsv(units: Iterable[ChunkUnit], path: str | Path) -> None:
 
 
 def read_units_tsv(path: str | Path) -> list[tuple[str, str]]:
-    """Read (unit_id, text) rows; the text is everything after the first tab.
+    """Read (unit_id, text) rows, at least one; the text is everything after the first tab.
 
     Lines starting with '#' are comments, so unit ids cannot start with '#'.
     """
@@ -224,4 +230,6 @@ def read_units_tsv(path: str | Path) -> list[tuple[str, str]]:
         if unit_id in rows:
             raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
         rows[unit_id] = text
+    if not rows:
+        raise ValueError(f"units file {path} is empty")
     return list(rows.items())

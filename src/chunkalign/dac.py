@@ -9,7 +9,7 @@ both documents have the same chunk count and every chunk is aligned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,15 +27,15 @@ def compute_dac(n_src: int, n_tgt: int, n_aligned: int) -> float:
 
 @dataclass(frozen=True)
 class DocPairScore:
-    """A candidate document pair and its chunk-alignment statistics."""
+    """A candidate document pair, its chunk-alignment statistics and their dac."""
 
     src_doc: str
     tgt_doc: str
     n_src: int
     n_tgt: int
     n_aligned: int
-    dac: float
     margin_sum: float
+    dac: float = field(init=False)
 
     def __post_init__(self) -> None:
         pair = f"({self.src_doc!r}, {self.tgt_doc!r})"
@@ -43,8 +43,7 @@ class DocPairScore:
             raise ValueError(f"chunk counts must be >= 1 for pair {pair}")
         if not 0 <= self.n_aligned <= min(self.n_src, self.n_tgt):
             raise ValueError(f"n_aligned {self.n_aligned} out of range for pair {pair}")
-        if not 0.0 <= self.dac <= 1.0:
-            raise ValueError(f"dac {self.dac} outside [0, 1] for pair {pair}")
+        object.__setattr__(self, "dac", compute_dac(self.n_src, self.n_tgt, self.n_aligned))
 
 
 def aggregate(
@@ -72,7 +71,7 @@ def aggregate(
     counts_tgt = Counter(doc_of_tgt.values())
     return [
         DocPairScore(src_doc, tgt_doc, counts_src[src_doc], counts_tgt[tgt_doc], n_aligned,
-                     compute_dac(counts_src[src_doc], counts_tgt[tgt_doc], n_aligned), margin_sum)
+                     margin_sum)
         for (src_doc, tgt_doc), (n_aligned, margin_sum) in sorted(grouped.items())
     ]
 
@@ -81,6 +80,14 @@ def require_threshold(threshold: float) -> None:
     """Reject a dac threshold outside [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
+
+
+def require_thresholds(thresholds: Sequence[float]) -> None:
+    """Reject dac thresholds not sorted ascending, then any outside [0, 1]."""
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
+    for threshold in thresholds:
+        require_threshold(threshold)
 
 
 def select_pairs(

@@ -11,7 +11,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Document, tsv_lines
-from .dac import DocPairScore, require_threshold, select_pairs
+from .dac import DocPairScore, require_thresholds, select_pairs
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,8 @@ def sweep_thresholds(
     makes the same choices, so the selection at t is the lowest threshold's
     selected pairs with dac >= t.
     """
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
-    for threshold in thresholds:
-        require_threshold(threshold)
-    if not thresholds:
-        return []
-    selected = select_pairs(scores, thresholds[0], one_to_one)
+    require_thresholds(thresholds)
+    selected = select_pairs(scores, thresholds[0], one_to_one) if thresholds else []
     reports = []
     for threshold in thresholds:
         predicted = [(s.src_doc, s.tgt_doc) for s in selected if s.dac >= threshold]

@@ -87,7 +87,7 @@ def load_corpus_reference(manifest_path):
                 raise ValueError(f"{manifest_path}:{lineno}: entry must carry doc_id, lang and path")
             doc_id = str(entry["doc_id"])
             if doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc_id!r} in manifest {manifest_path}")
+                raise ValueError(f"{manifest_path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
             path = manifest_path.parent / str(entry["path"])
             if not path.is_file():
@@ -99,7 +99,11 @@ def load_corpus_reference(manifest_path):
             )
             if not sentences:
                 raise ValueError(f"document {doc_id!r} is empty (no non-blank lines): {path}")
-            documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]), sentences=sentences))
+            try:
+                documents.append(Document(doc_id=doc_id, lang=str(entry["lang"]),
+                                          sentences=sentences))
+            except ValueError as exc:
+                raise ValueError(f"{manifest_path}:{lineno}: {exc}") from None
     if not documents:
         raise ValueError(f"manifest {manifest_path} lists no documents")
     return documents
@@ -121,6 +125,8 @@ def read_units_tsv_reference(path):
                 raise ValueError(f"{path}:{lineno}: duplicate unit id {unit_id!r}")
             seen.add(unit_id)
             rows.append((unit_id, text))
+    if not rows:
+        raise ValueError(f"units file {path} is empty")
     return rows
 
 
@@ -343,9 +349,11 @@ def dac_reference(src_docs, tgt_docs, src_embeddings, tgt_embeddings, g, k, thre
         key = (src_doc_of[pair.src_id], tgt_doc_of[pair.tgt_id])
         n_aligned, margin_sum = groups.get(key, (0, 0.0))
         groups[key] = (n_aligned + 1, margin_sum + pair.margin)
-    scores = [DocPairScore(src, tgt, n_src[src], n_tgt[tgt], n_aligned,
-                           2 * n_aligned / (n_src[src] + n_tgt[tgt]), margin_sum)
+    scores = [DocPairScore(src, tgt, n_src[src], n_tgt[tgt], n_aligned, margin_sum)
               for (src, tgt), (n_aligned, margin_sum) in sorted(groups.items())]
+    # the dac each score derives, against the definition
+    for s in scores:
+        assert s.dac == 2 * s.n_aligned / (s.n_src + s.n_tgt)
     ranked = sorted((s for s in scores if s.dac >= threshold),
                     key=lambda s: (-s.dac, -s.margin_sum, s.src_doc, s.tgt_doc))
     selected, taken_src, taken_tgt = [], set(), set()

@@ -241,9 +241,7 @@ def test_08_one_to_one_selection(capsys):
                 n_s = int(rng.integers(1, 7))
                 n_t = int(rng.integers(1, 7))
                 n_a = int(rng.integers(0, min(n_s, n_t) + 1))
-                scores[key] = DocPairScore(key[0], key[1], n_s, n_t, n_a,
-                                           compute_dac(n_s, n_t, n_a),
-                                           float(rng.random()))
+                scores[key] = DocPairScore(key[0], key[1], n_s, n_t, n_a, float(rng.random()))
             threshold = float(rng.choice([0.0, 0.1, 0.3, 0.6]))
             chosen = select_pairs(list(scores.values()), threshold)
             assert len({s.src_doc for s in chosen}) == len(chosen)

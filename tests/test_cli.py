@@ -17,7 +17,7 @@ from chunkalign.miner import MarginParams, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
-from oracles import dac_reference
+from oracles import dac_reference, pooled_reference
 from synth import planted_corpus
 
 
@@ -383,6 +383,44 @@ class TestNonFiniteOptions:
         assert not out_dir.exists()
 
 
+class TestArgumentTypeErrors:
+    """A bad option value is a usage error from the parser, exit 1 before
+    any output, naming the option and the rule it breaks."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("align", "-k", "x", "expected an integer, got 'x'"),
+        ("align", "-k", "0", "must be >= 1"),
+        ("align", "--workers", "0", "must be >= 1"),
+        ("fetch-embeddings", "--batch-size", "0", "must be >= 1"),
+        ("align", "--threshold", "x", "expected a float, got 'x'"),
+        ("align", "--threshold", "1.5", "threshold 1.5 outside [0, 1]"),
+        ("align", "--threshold", "nan", "threshold nan outside [0, 1]"),
+        ("sweep", "--thresholds", "", "empty threshold list"),
+        ("sweep", "--thresholds", "0.1,x", "expected a comma-separated list of floats"),
+        ("sweep", "--thresholds", "0.5,0.1", "thresholds must be sorted ascending"),
+        ("sweep", "--thresholds", "0.5,1.5", "threshold 1.5 outside [0, 1]"),
+        # the order is checked before the range, as sweep_thresholds does
+        ("sweep", "--thresholds", "0.5,1.5,0.2", "thresholds must be sorted ascending"),
+        ("align", "--method", "foo",
+         "unknown pooling method 'foo' (choose from MP, LP, IDF, LIDF)"),
+    ])
+    def test_usage_error(self, aligned_setup, capsys, command, flag, value, message):
+        out = aligned_setup["root"] / "out"
+        if command == "fetch-embeddings":
+            argv = ["fetch-embeddings", "--units", str(aligned_setup["gold"]),
+                    "--endpoint", "http://127.0.0.1:9/embed", "--out", str(out)]
+        else:
+            argv = align_argv(aligned_setup, out)
+            argv[0] = command
+            if command == "sweep":
+                argv += ["--gold", str(aligned_setup["gold"])]
+        assert run_cli([*argv, flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: chunkalign {command} ")
+        assert err[-1] == f"chunkalign {command}: error: argument {flag}: {message}"
+        assert not out.exists()
+
+
 class TestInputFaultsBeforeOutput:
     """Faults in the inputs that mining would only meet later are invalid
     input, reported before config.json or any other output is written."""
@@ -416,6 +454,33 @@ class TestInputFaultsBeforeOutput:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == (
             f"chunkalign: invalid input: manifest {empty} lists no documents\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc_id, problem", [
+        ("", "document id must be non-empty"),
+        ("#x", "document id '#x' must not start with '#' or contain a tab, CR or LF"),
+        ("a\tb", "document id 'a\\tb' must not start with '#' or contain a tab, CR or LF"),
+        (None, "duplicate doc_id {first!r}"),
+    ], ids=["empty", "hash", "tab", "duplicate"])
+    @pytest.mark.parametrize("command", ["segment", "align"])
+    def test_bad_doc_id_names_manifest_and_line(self, aligned_setup, capsys, command, doc_id,
+                                                problem):
+        # segment reads one manifest; align is given a bad target manifest
+        manifest = aligned_setup["src_manifest" if command == "segment" else "tgt_manifest"]
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])["doc_id"]
+        entry = json.loads(lines[1])
+        entry["doc_id"] = first if doc_id is None else doc_id
+        lines[1] = json.dumps(entry)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = aligned_setup["root"] / "out"
+        if command == "segment":
+            argv = ["segment", "--manifest", str(manifest), "--out", str(out)]
+        else:
+            argv = align_argv(aligned_setup, out)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {manifest}:2: {problem.format(first=first)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["dac", "pooled", "sweep", "pool", "segment"])
@@ -760,7 +825,8 @@ class TestSweep:
 
 class TestOutputsMatchReference:
     """sweep's reports.tsv and align's pairs.tsv, with and without
-    --keep-all, hold the rows that oracles.dac_reference gives, formatted here."""
+    --keep-all, hold the rows that oracles.dac_reference gives, formatted
+    here; align --mode pooled's pairs.tsv those of oracles.pooled_reference."""
 
     @pytest.fixture
     def signed_setup(self, tmp_path):
@@ -769,6 +835,12 @@ class TestOutputsMatchReference:
         src_docs, tgt_docs, src_emb, tgt_emb, gold = planted_corpus(
             n_pairs=8, chunks_per_doc=3, n_noise=4, perturbation=0.6, replace_frac=0.3,
             orthogonal_noise=False, dim=16, seed=7)
+        # sentences of 1-5 tokens from a shared vocabulary, so that the
+        # pooling methods' length and idf weights differ
+        src_docs, tgt_docs = ([replace(doc, sentences=tuple(
+            " ".join(f"w{(d + i + j) % 7}" for j in range(1 + (3 * d + i) % 5))
+            for i in range(len(doc.sentences)))) for d, doc in enumerate(docs)]
+            for docs in (src_docs, tgt_docs))
         paths = {"src_manifest": write_corpus(tmp_path, src_docs, "src"),
                  "tgt_manifest": write_corpus(tmp_path, tgt_docs, "tgt"),
                  "src_emb": tmp_path / "src.demb", "tgt_emb": tmp_path / "tgt.demb",
@@ -781,10 +853,13 @@ class TestOutputsMatchReference:
         def reference(threshold, one_to_one):
             return dac_reference(src_docs, tgt_docs, *signed, 1, 4, threshold, one_to_one)
 
-        return paths, gold, reference
+        def pooled(method):
+            return pooled_reference(src_docs, tgt_docs, *signed, method, 4)
+
+        return paths, gold, reference, pooled
 
     def test_sweep_reports(self, signed_setup):
-        paths, gold, reference = signed_setup
+        paths, gold, reference, _ = signed_setup
         _, scores, _ = reference(0.0, True)
         thresholds = sorted({0.0, 1.0} | {s.dac for s in scores})
         out_dir = paths["root"] / "sweep"
@@ -807,7 +882,7 @@ class TestOutputsMatchReference:
 
     @pytest.mark.parametrize("keep_all", [True, False])
     def test_align_pairs(self, signed_setup, keep_all):
-        paths, _, reference = signed_setup
+        paths, _, reference, _ = signed_setup
         out_dir = paths["root"] / "align"
         assert run_cli(align_argv(paths, out_dir, "-k", "4", "--threshold", "0.3",
                                   *(["--keep-all"] if keep_all else []))) == 0
@@ -818,6 +893,24 @@ class TestOutputsMatchReference:
         assert (out_dir / "pairs.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
         # only --keep-all keeps a document in more than one pair, as it does here
         assert (len({s.src_doc for s in selected}) < len(selected)) == keep_all
+
+    @pytest.mark.parametrize("method", [PoolingMethod.MP, PoolingMethod.LIDF])
+    def test_pooled_align_pairs(self, signed_setup, method):
+        paths, gold, _, pooled = signed_setup
+        out_dir = paths["root"] / "pooled"
+        assert run_cli(align_argv(paths, out_dir, "-k", "4", "--mode", "pooled",
+                                  "--method", method.name.lower())) == 0
+        lines = (out_dir / "pairs.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# src_id\ttgt_id\tcosine\tmargin"
+        rows = [line.split("\t") for line in lines[1:]]
+        expected = pooled(method)
+        assert [(src, tgt) for src, tgt, _, _ in rows] == [(p.src_id, p.tgt_id) for p in expected]
+        # six printed decimals, each within 1e-6 of the reference
+        for (_, _, cosine, margin), pair in zip(rows, expected):
+            assert float(cosine) == pytest.approx(pair.cosine, abs=1e-6)
+            assert float(margin) == pytest.approx(pair.margin, abs=1e-6)
+        # the corpus is not trivial: some mined pairs are not gold
+        assert 0 < len({(p.src_id, p.tgt_id) for p in expected} & gold.pairs) < len(expected)
 
 
 class TestEvaluate:
@@ -884,6 +977,18 @@ class TestFetchCommand:
         out = tmp_path / "emb.demb"
         assert run_cli(["fetch-embeddings", "--units", str(units),
                         "--out", str(out)]) == 0
+
+    def test_empty_units_file_usage_error(self, tmp_path, embed_server, capsys):
+        url, state = embed_server
+        units = tmp_path / "units.tsv"
+        units.write_text("# unit_id\ttext\n\n \n", encoding="utf-8")
+        out = tmp_path / "emb.demb"
+        assert run_cli(["fetch-embeddings", "--units", str(units), "--endpoint", url,
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: units file {units} is empty\n")
+        assert state["requests"] == 0
+        assert not out.exists()
 
     def test_no_endpoint_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("CHUNKALIGN_ENDPOINT", raising=False)
@@ -1082,6 +1187,16 @@ class TestImportCommand:
         assert matrix.ids == ["a#0", "a#1"]
         np.testing.assert_allclose(matrix.data[0], [0.6, 0.8], atol=1e-6)
         np.testing.assert_allclose(matrix.data[1], [0.0, 1.0], atol=1e-6)
+
+    def test_empty_units_file_usage_error(self, tmp_path, capsys):
+        units, vec_path = self.write_inputs(tmp_path, [{"unit_id": "a#0", "vector": [1.0]}])
+        units.write_text("# unit_id\ttext\n\n \n", encoding="utf-8")
+        out = tmp_path / "m.demb"
+        assert run_cli(["import-embeddings", "--units", str(units), "--vectors", str(vec_path),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: units file {units} is empty\n")
+        assert not out.exists()
 
     def test_missing_vector_usage_error(self, tmp_path, capsys):
         units, vec_path = self.write_inputs(tmp_path, [

@@ -1,14 +1,18 @@
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from chunkalign import corpus
 from chunkalign.corpus import (
     ChunkUnit,
     Document,
     Granularity,
     load_corpus,
+    read_lines,
     read_units_tsv,
     segment,
     write_units_tsv,
@@ -59,8 +63,18 @@ class TestLoadCorpus:
         manifest = write_manifest(tmp_path, [("d", "en", "x\n")])
         line = manifest.read_text().strip()
         manifest.write_text(line + "\n" + line + "\n")
-        with pytest.raises(ValueError, match="duplicate doc_id 'd'"):
+        with pytest.raises(ValueError) as excinfo:
             load_corpus(manifest)
+        assert str(excinfo.value) == f"{manifest}:2: duplicate doc_id 'd'"
+
+    def test_bad_doc_id_names_manifest_line(self, tmp_path):
+        manifest = write_manifest(tmp_path, [("d", "en", "x\n")])
+        entry = json.dumps({"doc_id": "#e", "lang": "en", "path": "d.txt"})
+        manifest.write_text(manifest.read_text() + "\n" + entry + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(manifest)
+        assert str(excinfo.value) == (
+            f"{manifest}:3: document id '#e' must not start with '#' or contain a tab, CR or LF")
 
     def test_missing_sentence_file_names_doc_and_path(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -210,6 +224,47 @@ class TestUnitsTsv:
         path.write_text("justtext\n")
         with pytest.raises(ValueError, match="expected unit_id"):
             read_units_tsv(path)
+
+    @pytest.mark.parametrize("text", ["", "# unit_id\ttext\n", "\n \n# note\n"])
+    def test_file_without_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "units.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_units_tsv(path)
+        assert str(excinfo.value) == f"units file {path} is empty"
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("size", [corpus._BLOCK - 1, corpus._BLOCK, corpus._BLOCK + 1])
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "x"])
+    def test_file_about_one_block_long(self, tmp_path, size, end):
+        # lines of 1-9 "é" (two bytes each), ending in `end`, the file `size` bytes long
+        lines, length = [], 0
+        while length < size - 40:
+            lines.append("\u00e9" * (1 + len(lines) % 9) + "\r\n")
+            length += len(lines[-1].encode("utf-8"))
+        lines.append("a" * (size - length - len(end)) + end)
+        path = tmp_path / "f.txt"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        assert path.stat().st_size == size
+        text_mode = io.StringIO("".join(lines), newline=None).readlines()
+        assert list(read_lines(path, "text file")) == [
+            (lineno, line.rstrip("\n")) for lineno, line in enumerate(text_mode, start=1)]
+
+    def test_file_shorter_than_a_block_read_once(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"one\r\ntwo")
+        sizes = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        with mock.patch.object(corpus, "open", create=True,
+                               side_effect=lambda file, mode, buffering: CountingFile(file, mode)):
+            assert list(read_lines(path, "text file")) == [(1, "one"), (2, "two")]
+        assert sizes == [corpus._BLOCK]
 
 
 class TestDocument:

@@ -22,8 +22,7 @@ from synth import planted_corpus
 
 def score(src, tgt, dac, margin_sum=0.0, n_src=10, n_tgt=10):
     n_aligned = round(dac * (n_src + n_tgt) / 2)
-    return DocPairScore(src, tgt, n_src, n_tgt, n_aligned,
-                        compute_dac(n_src, n_tgt, n_aligned), margin_sum)
+    return DocPairScore(src, tgt, n_src, n_tgt, n_aligned, margin_sum)
 
 
 class TestComputeDac:
@@ -46,11 +45,16 @@ class TestComputeDac:
 class TestDocPairScore:
     def test_validation(self):
         with pytest.raises(ValueError, match="chunk counts must be >= 1"):
-            DocPairScore("a", "b", 0, 3, 0, 0.0, 0.0)
+            DocPairScore("a", "b", 0, 3, 0, 0.0)
         with pytest.raises(ValueError, match="n_aligned 4 out of range"):
-            DocPairScore("a", "b", 3, 3, 4, 1.0, 0.0)
-        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-            DocPairScore("a", "b", 3, 3, 3, 1.5, 0.0)
+            DocPairScore("a", "b", 3, 3, 4, 0.0)
+
+    def test_dac_derived_from_counts(self):
+        s = DocPairScore("a", "b", 4, 2, 2, 2.5)
+        assert (s.dac, s.margin_sum) == (compute_dac(4, 2, 2), 2.5)
+        # so a dac that disagrees with the counts cannot be given
+        with pytest.raises(TypeError):
+            DocPairScore("a", "b", 4, 2, 2, 2.5, dac=1.0)
 
 
 class TestSelectPairsThreshold:
@@ -220,7 +224,7 @@ class TestSelectPairs:
                 n_aligned = int(rng.integers(0, min(n_src, n_tgt) + 1))
                 scores.append(DocPairScore(
                     f"s{i}", f"t{int(rng.integers(0, 12))}", n_src, n_tgt, n_aligned,
-                    compute_dac(n_src, n_tgt, n_aligned), float(rng.random())))
+                    float(rng.random())))
             # target ids collide on purpose; dedupe to keep aggregate-like shape
             seen = {}
             for s in scores:
@@ -280,7 +284,7 @@ class TestAlignDocumentsDac:
 
 class TestWriteScoresTsv:
     def test_format(self, tmp_path):
-        scores = [DocPairScore("A", "B", 4, 2, 2, 2 / 3, 2.5)]
+        scores = [DocPairScore("A", "B", 4, 2, 2, 2.5)]
         path = tmp_path / "scores.tsv"
         write_scores_tsv(scores, path)
         lines = path.read_text(encoding="utf-8").splitlines()

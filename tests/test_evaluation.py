@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkalign.dac import DocPairScore, compute_dac, select_pairs
+from chunkalign.dac import DocPairScore, select_pairs
 from chunkalign.evaluation import (
     EvalReport,
     GoldSet,
@@ -243,8 +243,7 @@ def random_scores(rng, n_src=12, n_tgt=12, density=0.5):
             n_s = int(rng.integers(1, 6))
             n_t = int(rng.integers(1, 6))
             n_a = int(rng.integers(0, min(n_s, n_t) + 1))
-            scores.append(DocPairScore(f"s{i}", f"t{j}", n_s, n_t, n_a,
-                                       compute_dac(n_s, n_t, n_a), float(rng.random())))
+            scores.append(DocPairScore(f"s{i}", f"t{j}", n_s, n_t, n_a, float(rng.random())))
     return scores
 
 
@@ -295,8 +294,7 @@ def tie_heavy_scores(draw):
     for i, j in sorted(keys):
         n_src, n_tgt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         n_aligned = draw(st.integers(0, min(n_src, n_tgt)))
-        scores.append(DocPairScore(f"s{i}", f"t{j}", n_src, n_tgt, n_aligned,
-                                   compute_dac(n_src, n_tgt, n_aligned), draw(margin_sums)))
+        scores.append(DocPairScore(f"s{i}", f"t{j}", n_src, n_tgt, n_aligned, draw(margin_sums)))
     return draw(st.permutations(scores))
 
 
