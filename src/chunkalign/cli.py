@@ -182,13 +182,13 @@ def _run_segment(args, ctx) -> None:
 
 
 def _prepare_fetch(args) -> dict:
-    from .embed_store import service_route
+    from .service import route
 
     require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
-    service_route(endpoint)  # a bad endpoint or proxy is invalid input, found before any read
+    route(endpoint)  # a bad endpoint or proxy is invalid input, found before any read
     return {"units": read_units_tsv(args.units), "endpoint": endpoint}
 
 
@@ -409,8 +409,9 @@ def _run_align(args, ctx) -> None:
     else:
         from .pooled import align_documents_pooled
 
+        # handed over, not kept: pooling frees each side's sentence matrix
         mined = align_documents_pooled(
-            ctx["src_docs"], ctx["tgt_docs"], ctx["src_matrix"], ctx["tgt_matrix"],
+            ctx["src_docs"], ctx["tgt_docs"], ctx.pop("src_matrix"), ctx.pop("tgt_matrix"),
             args.method, ctx["params"], workers=args.workers,
         )
         write_pairs_tsv(mined, out_dir / "pairs.tsv")

@@ -139,7 +139,9 @@ def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, .
 
     A record, a `noun` in messages, is an object carrying text_keys and
     other_keys; a text key's value, an id or a path, is a string or an
-    integer, turned into its decimal text.  Faults name the file and line.
+    integer, turned into its decimal text, and a string must encode as UTF-8:
+    a JSON escape of a lone surrogate, such as \\ud800, does not.  Faults name
+    the file and line.
     """
     keys = text_keys + other_keys
     for lineno, line in read_lines(path, what):
@@ -154,6 +156,11 @@ def json_records(path: str | Path, what: str, noun: str, text_keys: tuple[str, .
             if type(record[key]) not in (str, int):  # so a bool, whose type is bool, fails
                 raise ValueError(f"{path}:{lineno}: {key} must be a string or an integer")
             record[key] = str(record[key])
+            try:
+                record[key].encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: {key} holds a lone surrogate, "
+                                 "which is not UTF-8 text") from None
         yield lineno, record
 
 

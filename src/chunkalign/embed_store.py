@@ -1,14 +1,12 @@
-"""Binary embedding matrices: storage, normalization, and a service client."""
+"""Binary embedding matrices: storage, normalization, and rows fetched from the service."""
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
-import re
 import struct
-import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -243,31 +241,18 @@ def read_normalized(path: str | Path) -> EmbeddingMatrix:
     return matrix
 
 
-def fetch_vectors(
-    ids: Sequence[str],
-    texts: Sequence[str],
-    endpoint: str,
-    batch_size: int = 32,
-    attempts: int = 3,
-    retry_wait: float = 0.5,
-    timeout: float = 30.0,
-) -> EmbeddingMatrix:
+def fetch_vectors(ids: Sequence[str], texts: Sequence[str], endpoint: str,
+                  batch_size: int = 32) -> EmbeddingMatrix:
     """Fetch embeddings for texts from the HTTP service, rows in input order.
 
-    The service takes POST {"texts": [...]} and answers {"vectors": [[...],
-    ...]}.  Each distinct text is sent once, all batches over one HTTP
-    connection, and a repeated text gets a copy of its first row; this
-    assumes the service embeds a text the same way whatever else is in its
-    batch.  The next batch is sent as soon as a reply has been read, so the
-    service works on it while that reply is decoded and checked; one request
-    is in flight at most.  Transport failures (connection errors, timeouts,
-    429, 5xx) are retried with exponential backoff; contract violations (a
-    redirect, another 4xx, a body that is not JSON, wrong count, a vector
-    that is not a list of numbers or holds a value beyond float32, ragged
-    vectors, a non-finite or zero vector) fail at the reply that carries
-    them, naming the first id that carries the text: each reply's rows are
-    checked and normalized as the reply arrives.
+    Each distinct text is sent once (service.fetch_batches), and a repeated
+    text gets a copy of its first row: the service is assumed to embed a text
+    alike in any batch.  Each reply's rows get matrix_from_vectors' checks and
+    normalize as the reply arrives; a fault names the first id of its text.
     """
+    # fetching alone talks HTTP: the client's imports stay out of every other command
+    from . import service
+
     if len(ids) != len(texts):
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
     if not ids:
@@ -286,261 +271,13 @@ def fetch_vectors(
 
     blocks: list[np.ndarray] = []
     requests_sent = 0
-    connection = _ServiceConnection(endpoint, timeout)
-    try:
-        connection.send(distinct[:batch_size])
-        for start in range(0, len(distinct), batch_size):
-            batch = distinct[start:start + batch_size]
-            status, body, tries = _await_reply(connection, batch, attempts, retry_wait)
+    with closing(service.fetch_batches(distinct, endpoint, batch_size)) as replies:
+        for start, (vectors, tries) in zip(range(0, len(distinct), batch_size), replies):
             requests_sent += tries
-            following = distinct[start + batch_size:start + 2 * batch_size]
-            if following:
-                connection.send(following)
             batch_ids = first_ids[start:start + batch_size]
-            rows = _float32_rows(batch_ids, _reply_vectors(status, body, len(batch)),
-                                 "embedding service", blocks[0].shape[1] if blocks else None)
+            rows = _float32_rows(batch_ids, vectors, "embedding service",
+                                 blocks[0].shape[1] if blocks else None)
             blocks.append(normalize(EmbeddingMatrix(ids=batch_ids, data=rows)).data)
-    finally:
-        connection.close()
-    batches = -(-len(distinct) // batch_size)
-    logger.debug(
-        "fetch funnel: %d texts, %d distinct, %d requests, %d retries",
-        len(texts), len(distinct), requests_sent, requests_sent - batches,
-    )
+    logger.debug("fetch funnel: %d texts, %d distinct, %d requests, %d retries",
+                 len(texts), len(distinct), requests_sent, requests_sent - len(blocks))
     return EmbeddingMatrix(ids=list(ids), data=np.concatenate(blocks)[inverse])
-
-
-def _await_reply(connection: "_ServiceConnection", batch: list[str], attempts: int,
-                 retry_wait: float) -> tuple[int, bytes, int]:
-    """Status and body of the reply to batch, which is sent already, and the requests it took.
-
-    Connection errors, timeouts, 429 and 5xx are retried, sending the batch
-    again after a backoff; a redirect or another 4xx is a contract violation
-    and fails at once.
-    """
-    from http.client import HTTPException
-
-    last_error: Exception | str | None = None
-    for attempt in range(attempts):
-        if attempt:
-            time.sleep(retry_wait * 2 ** (attempt - 1))
-            connection.send(batch)
-        try:
-            status, body = connection.receive()
-        except (OSError, HTTPException) as exc:
-            last_error = exc
-        else:
-            if status == 429 or status >= 500:
-                last_error = f"HTTP {status}"
-            elif 300 <= status < 400:
-                raise ValueError(
-                    f"embedding service answered the batch with redirect HTTP {status}, "
-                    "which is not followed"
-                )
-            elif not 200 <= status < 300:
-                raise ValueError(f"embedding service rejected the batch with HTTP {status}")
-            else:
-                return status, body, attempt + 1
-        logger.warning(
-            "embedding request failed (attempt %d/%d): %s", attempt + 1, attempts, last_error
-        )
-    raise RuntimeError(f"embedding service failed after {attempts} attempts: {last_error}")
-
-
-def _reply_vectors(status: int, body: bytes, count: int) -> list:
-    """The 'vectors' list of a reply body, checked to hold count entries."""
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        raise ValueError(
-            f"embedding service answered HTTP {status} with a body that is not JSON"
-        ) from None
-    vectors = payload.get("vectors") if isinstance(payload, dict) else None
-    if not isinstance(vectors, list):
-        raise ValueError("embedding service response has no 'vectors' list")
-    if len(vectors) != count:
-        raise ValueError(f"embedding service returned {len(vectors)} vectors for {count} texts")
-    return vectors
-
-
-def service_route(endpoint: str):
-    """The split endpoint URL, and the split http proxy URL that reaches it or None.
-
-    The proxy comes from $http_proxy, $https_proxy or $all_proxy unless $no_proxy
-    bypasses the endpoint's host, and is checked only then, like the endpoint.
-    Error messages show each URL without the credentials it may carry.
-    """
-    import urllib.parse
-    import urllib.request
-
-    def split(url: str, what: str, schemes: tuple[str, ...]):
-        name = f"{what} {re.sub('//[^/?#]*@', '//', url, count=1)!r}"
-        try:
-            parts = urllib.parse.urlsplit(url)
-        except ValueError as exc:  # an unclosed '[' before the host
-            raise ValueError(f"{name} is not a valid URL: {exc}") from None
-        if parts.scheme not in schemes:
-            raise ValueError(f"{name} is not an {' or '.join(schemes)} URL")
-        if not parts.hostname:
-            raise ValueError(f"{name} has no host")
-        try:
-            parts.port
-        except ValueError:
-            raise ValueError(f"{name} has an invalid port") from None
-        return parts
-
-    parts = split(endpoint, "embedding endpoint", ("http", "https"))
-    proxies = urllib.request.getproxies()
-    proxy = proxies.get(parts.scheme) or proxies.get("all")
-    if not proxy or urllib.request.proxy_bypass(parts.hostname):
-        return parts, None
-    return parts, split(proxy if "://" in proxy else "http://" + proxy, "proxy", ("http",))
-
-
-class _ServiceConnection:
-    """One HTTP connection to the embedding service, one request in flight at most.
-
-    The environment is read once, here: the route from service_route (plain
-    http goes to a proxy in absolute form, https through a CONNECT tunnel),
-    basic credentials from the URL's userinfo or else ~/.netrc, and for https
-    the default trust store (ssl.create_default_context, which honours
-    $SSL_CERT_FILE).  send() posts a batch; a failure to send is raised by the
-    receive() that follows, which returns the reply's status and body.
-    """
-
-    def __init__(self, endpoint: str, timeout: float):
-        # only fetching talks HTTP; every other command skips these imports
-        import http.client
-        import ssl
-        import urllib.parse
-
-        parts, proxy_parts = service_route(endpoint)
-        https = parts.scheme == "https"
-        netloc = parts.netloc.rpartition("@")[2]  # host[:port], never the userinfo
-        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._headers = {"Host": netloc, "Content-Type": "application/json"}
-        credentials = _userinfo(parts) or _netrc_credentials(parts.hostname)
-        if credentials:
-            self._headers["Authorization"] = _basic_auth(*credentials)
-
-        context = ssl.create_default_context() if https else None
-        if proxy_parts is None:
-            self._connection = (
-                http.client.HTTPSConnection(parts.hostname, parts.port, timeout=timeout,
-                                            context=context)
-                if https else http.client.HTTPConnection(parts.hostname, parts.port,
-                                                         timeout=timeout)
-            )
-        else:
-            proxy_credentials = _userinfo(proxy_parts)
-            proxy_headers = ({"Proxy-Authorization": _basic_auth(*proxy_credentials)}
-                             if proxy_credentials else {})
-            proxy_port = proxy_parts.port or 80
-            if https:
-                self._connection = _tunnel_connection(
-                    proxy_parts.hostname, proxy_port, parts.hostname, parts.port or 443,
-                    proxy_headers, timeout, context)
-            else:
-                self._connection = http.client.HTTPConnection(
-                    proxy_parts.hostname, proxy_port, timeout=timeout)
-                self._target = f"http://{netloc}{self._target}"
-                self._headers.update(proxy_headers)
-        self._batch: list[str] = []
-        self._reused = False
-        self._failure: Exception | None = None
-
-    def send(self, batch: list[str]) -> None:
-        from http.client import HTTPException
-
-        self._batch = batch
-        # a socket left open by the last reply: the service may have closed it meanwhile
-        self._reused = self._connection.sock is not None
-        self._failure = None
-        body = json.dumps({"texts": batch}).encode("utf-8")
-        try:
-            self._connection.request("POST", self._target, body, self._headers)
-        except (OSError, HTTPException) as exc:
-            self._connection.close()
-            self._failure = exc
-
-    def _response(self):
-        if self._failure is not None:
-            raise self._failure
-        return self._connection.getresponse()
-
-    def receive(self) -> tuple[int, bytes]:
-        """Status and body of the reply to the request sent last."""
-        try:
-            try:
-                response = self._response()
-            except ConnectionError:
-                if not self._reused:
-                    raise
-                # the service closed the kept-alive connection before replying:
-                # send again at once on a new one, spending no attempt
-                self._connection.close()
-                self.send(self._batch)
-                response = self._response()
-            return response.status, response.read()
-        except BaseException:
-            self._connection.close()
-            raise
-
-    def close(self) -> None:
-        self._connection.close()
-
-
-def _tunnel_connection(proxy_host: str, proxy_port: int, host: str, port: int,
-                       headers: dict, timeout: float, context):
-    """HTTPS connection to host:port through a CONNECT tunnel at the proxy.
-
-    An IPv6 host is bracketed in the CONNECT line and its Host header on every
-    Python version: http.client's set_tunnel strips the brackets, and before
-    3.13 its _tunnel writes the bare address (CONNECT ::1:8443).
-    """
-    import http.client
-
-    class Connection(http.client.HTTPSConnection):
-        def _tunnel(self):
-            bare = self._tunnel_host
-            if ":" in bare:
-                self._tunnel_host = f"[{bare}]"
-            try:
-                super()._tunnel()
-            finally:
-                # TLS checks the certificate against the bare address
-                self._tunnel_host = bare
-
-    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-    connection = Connection(proxy_host, proxy_port, timeout=timeout, context=context)
-    connection.set_tunnel(host, port, headers={"Host": authority, **headers})
-    return connection
-
-
-def _userinfo(parts) -> tuple[str, str] | None:
-    """Basic credentials from a split URL's userinfo, if it has any."""
-    from urllib.parse import unquote
-
-    if parts.username is None:
-        return None
-    return unquote(parts.username), unquote(parts.password or "")
-
-
-def _netrc_credentials(host: str) -> tuple[str, str] | None:
-    """Basic credentials for host from ~/.netrc, if it has an entry that applies."""
-    import netrc
-
-    try:
-        entry = netrc.netrc().authenticators(host)
-    except (OSError, netrc.NetrcParseError):  # no ~/.netrc, or one that cannot be used
-        return None
-    if entry is None:
-        return None
-    login, account, password = entry
-    return login or account, password
-
-
-def _basic_auth(user: str, password: str) -> str:
-    import base64
-
-    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")

@@ -53,8 +53,11 @@ def align_documents_pooled(
     """Pool each side into document vectors, then mine document pairs directly.
 
     Idf statistics, when the method needs them, are computed per corpus side.
-    The returned pair ids are document ids.
+    The returned pair ids are document ids.  Each sentence matrix is released
+    once its side is pooled, freed when the caller keeps no reference to it.
     """
     x = pool_corpus(src_docs, src_embeddings, method)
+    del src_embeddings
     y = pool_corpus(tgt_docs, tgt_embeddings, method)
+    del tgt_embeddings
     return mine(x, y, params, workers=workers)

@@ -67,6 +67,15 @@ def read_matrix_reference(path):
     return EmbeddingMatrix(ids=ids, data=data.reshape(count, dim).copy())
 
 
+def _require_utf8(path, lineno, key, text):
+    """The rule of corpus.json_records for a text key: it encodes as UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{path}:{lineno}: {key} holds a lone surrogate, "
+                         "which is not UTF-8 text") from None
+
+
 def load_corpus_reference(manifest_path):
     """corpus.load_corpus with pathlib paths and sentence files read in text
     mode, whose universal newlines turn CRLF and CR into LF."""
@@ -85,6 +94,8 @@ def load_corpus_reference(manifest_path):
                 raise ValueError(f"{manifest_path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(entry, dict) or not {"doc_id", "lang", "path"} <= entry.keys():
                 raise ValueError(f"{manifest_path}:{lineno}: entry must carry doc_id, lang and path")
+            for key in ("doc_id", "lang", "path"):
+                _require_utf8(manifest_path, lineno, key, str(entry[key]))
             doc_id = str(entry["doc_id"])
             if doc_id in seen:
                 raise ValueError(f"{manifest_path}:{lineno}: duplicate doc_id {doc_id!r}")
@@ -145,6 +156,7 @@ def read_vectors_reference(path):
             if not isinstance(record, dict) or "unit_id" not in record or "vector" not in record:
                 raise ValueError(f"{path}:{lineno}: record must carry unit_id and vector")
             unit_id = str(record["unit_id"])
+            _require_utf8(path, lineno, "unit_id", unit_id)
             if unit_id in vectors:
                 raise ValueError(f"{path}:{lineno}: duplicate vector for {unit_id!r}")
             vectors[unit_id] = record["vector"]
@@ -397,24 +409,27 @@ def pooling_weights_oracle(documents, method):
     return weights
 
 
+def pooled_vectors_reference(docs, embeddings, method):
+    """One side's document vectors, a row per document in order, pooled over
+    that side alone: the weights of pooling_weights_oracle, the weighted sum
+    and normalization of pooled_oracle, stored as float32."""
+    row_of = {unit_id: row for row, unit_id in enumerate(embeddings.ids)}
+    return np.array([
+        pooled_oracle(embeddings.data[[row_of[f"{doc.doc_id}#{i}"]
+                                       for i in range(len(doc.sentences))]], weights)
+        for doc, weights in zip(docs, pooling_weights_oracle(docs, method))
+    ], dtype=np.float32)
+
+
 def pooled_reference(src_docs, tgt_docs, src_embeddings, tgt_embeddings, method, k,
                      min_margin=None):
     """The pooled path from its definitions: the mined document pairs.
 
-    Each side's documents are pooled over their own side alone: the weights
-    of pooling_weights_oracle, the weighted sum and normalization of
-    pooled_oracle, stored as float32.  Then margin_oracle, greedy_oracle and
-    the min_margin floor after matching.
+    Each side's documents are pooled by pooled_vectors_reference, then
+    margin_oracle, greedy_oracle and the min_margin floor after matching.
     """
-    def pooled(docs, embeddings):
-        row_of = {unit_id: row for row, unit_id in enumerate(embeddings.ids)}
-        return np.array([
-            pooled_oracle(embeddings.data[[row_of[f"{doc.doc_id}#{i}"]
-                                           for i in range(len(doc.sentences))]], weights)
-            for doc, weights in zip(docs, pooling_weights_oracle(docs, method))
-        ], dtype=np.float32)
-
-    margins = margin_oracle(pooled(src_docs, src_embeddings), pooled(tgt_docs, tgt_embeddings), k)
+    margins = margin_oracle(pooled_vectors_reference(src_docs, src_embeddings, method),
+                            pooled_vectors_reference(tgt_docs, tgt_embeddings, method), k)
     pairs = greedy_oracle([(src_docs[i].doc_id, tgt_docs[j].doc_id, float(cosine), float(margin))
                            for (i, j), (cosine, margin) in margins.items()])
     if min_margin is not None:

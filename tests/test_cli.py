@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import chunkalign
+from chunkalign import embed_store, pooled
 from chunkalign.cli import _prepare_align, build_parser, main
 from chunkalign.corpus import Document, load_corpus
 from chunkalign.embed_store import EmbeddingMatrix, normalize, read_matrix, write_matrix
@@ -17,7 +20,8 @@ from chunkalign.miner import MarginParams, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
-from oracles import dac_reference, pooled_reference
+from oracles import (dac_reference, load_corpus_reference, pooled_reference,
+                     pooled_vectors_reference, read_matrix_reference)
 from synth import planted_corpus
 
 
@@ -310,6 +314,27 @@ class TestAlignPooled:
                                   "--min-margin", repr(floor))) == 0
         assert (out_dir / "pairs.tsv").read_bytes() == expected_path.read_bytes()
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller holds its call's arguments until it returns")
+    def test_sentence_matrices_freed_before_mining(self, aligned_setup, monkeypatch):
+        refs, alive = [], []
+        read, mine = embed_store.read_normalized, pooled.mine
+
+        def read_normalized(path):
+            matrix = read(path)
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        def mine_pooled(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return mine(*args, **kwargs)
+
+        monkeypatch.setattr(embed_store, "read_normalized", read_normalized)
+        monkeypatch.setattr(pooled, "mine", mine_pooled)
+        out_dir = aligned_setup["root"] / "pooled"
+        assert run_cli(align_argv(aligned_setup, out_dir, "--mode", "pooled")) == 0
+        assert alive == [False, False]
+
     @pytest.mark.parametrize("command", ["pooled", "pool"])
     def test_incomplete_embeddings_is_runtime_error(self, aligned_setup, capsys, command):
         full = read_matrix(aligned_setup["src_emb"])
@@ -461,7 +486,9 @@ class TestInputFaultsBeforeOutput:
         ("#x", "document id '#x' must not start with '#' or contain a tab, CR or LF"),
         ("a\tb", "document id 'a\\tb' must not start with '#' or contain a tab, CR or LF"),
         (None, "duplicate doc_id {first!r}"),
-    ], ids=["empty", "hash", "tab", "duplicate"])
+        # json.dumps writes the lone surrogate as the escape \ud800
+        ("x\ud800", "doc_id holds a lone surrogate, which is not UTF-8 text"),
+    ], ids=["empty", "hash", "tab", "duplicate", "surrogate"])
     @pytest.mark.parametrize("command", ["segment", "align"])
     def test_bad_doc_id_names_manifest_and_line(self, aligned_setup, capsys, command, doc_id,
                                                 problem):
@@ -894,6 +921,24 @@ class TestOutputsMatchReference:
         # only --keep-all keeps a document in more than one pair, as it does here
         assert (len({s.src_doc for s in selected}) < len(selected)) == keep_all
 
+    def test_pool_command_vectors(self, signed_setup):
+        paths = signed_setup[0]
+        docs = load_corpus_reference(paths["src_manifest"])
+        embeddings = read_matrix_reference(paths["src_emb"])  # rows of norm 1 exactly
+        expected = {method: pooled_vectors_reference(docs, embeddings, method)
+                    for method in PoolingMethod}
+        for method in PoolingMethod:
+            out = paths["root"] / f"{method.name}.demb"
+            assert run_cli(["pool", "--manifest", str(paths["src_manifest"]),
+                            "--embeddings", str(paths["src_emb"]),
+                            "--method", method.name.lower(), "--out", str(out)]) == 0
+            matrix = read_matrix(out)
+            assert matrix.ids == [doc.doc_id for doc in docs]
+            np.testing.assert_allclose(matrix.data, expected[method], rtol=0, atol=1e-6)
+        # the corpus tells the methods apart: no two give the same vectors
+        for first, second in itertools.combinations(expected.values(), 2):
+            assert np.abs(first - second).max() > 1e-3
+
     @pytest.mark.parametrize("method", [PoolingMethod.MP, PoolingMethod.LIDF])
     def test_pooled_align_pairs(self, signed_setup, method):
         paths, gold, _, pooled = signed_setup
@@ -1140,7 +1185,7 @@ class TestStartup:
         assert result[:2] == [code, False]
         assert result[2] == ["chunkalign", "chunkalign.cli", "chunkalign.corpus"]
 
-    def test_fetch_loads_only_embed_store_and_corpus(self, tmp_path, embed_server):
+    def test_fetch_loads_only_service_embed_store_and_corpus(self, tmp_path, embed_server):
         url, _ = embed_server
         units = tmp_path / "units.tsv"
         units.write_text("d#0\thello world\nd#1\tsecond line\n", encoding="utf-8")
@@ -1148,7 +1193,17 @@ class TestStartup:
                                    "--endpoint", url, "--out", str(tmp_path / "emb.demb")))
         assert result[0] == 0
         assert result[2] == ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
-                             "chunkalign.embed_store"]
+                             "chunkalign.embed_store", "chunkalign.service"]
+
+    def test_fetch_with_malformed_endpoint_leaves_numpy_out(self, tmp_path):
+        # the route check needs the client alone, not the matrix module
+        units = tmp_path / "units.tsv"
+        units.write_text("d#0\thello world\n", encoding="utf-8")
+        result = json.loads(_probe(_CLI_PROBE, "fetch-embeddings", "--units", str(units),
+                                   "--endpoint", "http://127.0.0.1:notaport/embed",
+                                   "--out", str(tmp_path / "emb.demb")))
+        assert result == [1, False, ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
+                                     "chunkalign.service"]]
 
     # numpy 1.x imports numpy.random along with numpy itself
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
@@ -1196,6 +1251,21 @@ class TestImportCommand:
                         "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"chunkalign: invalid input: units file {units} is empty\n")
+        assert not out.exists()
+
+    def test_surrogate_unit_id_usage_error(self, tmp_path, capsys):
+        # a JSON escape of a lone surrogate is not UTF-8 text, even in an id no unit has
+        units, vec_path = self.write_inputs(tmp_path, [
+            {"unit_id": "a#0", "vector": [1.0, 0.0]},
+            {"unit_id": "\udc80", "vector": [0.0, 1.0]},
+            {"unit_id": "a#1", "vector": [0.0, 1.0]},
+        ])
+        out = tmp_path / "m.demb"
+        assert run_cli(["import-embeddings", "--units", str(units),
+                        "--vectors", str(vec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chunkalign: invalid input: {vec_path}:2: unit_id holds a lone surrogate, "
+            "which is not UTF-8 text\n")
         assert not out.exists()
 
     def test_missing_vector_usage_error(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkalign import embed_store
+from chunkalign import embed_store, service
 from chunkalign.embed_store import (
     EmbeddingMatrix,
     fetch_vectors,
@@ -311,6 +311,12 @@ class TestReadNormalizedProperties:
                 assert _outcome(read_normalized, path) == expected
 
 
+@pytest.fixture
+def quick_retries(monkeypatch):
+    """Retries 10 ms apart, where the client waits 0.5 s and more."""
+    monkeypatch.setattr(service, "RETRY_WAIT", 0.01)
+
+
 class TestFetch:
     def test_batching_order_and_normalization(self, embed_server):
         url, state = embed_server
@@ -323,60 +329,60 @@ class TestFetch:
             raw = np.asarray(vector_for_text(text), dtype=np.float32)
             np.testing.assert_allclose(row, raw / np.linalg.norm(raw), atol=1e-6)
 
-    def test_retries_then_succeeds(self, embed_server):
+    def test_retries_then_succeeds(self, quick_retries, embed_server):
         url, state = embed_server
         state["fail_remaining"] = 2
-        matrix = fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        matrix = fetch_vectors(["a"], ["hello"], url)
         assert len(matrix) == 1
         assert state["requests"] == 3
 
-    def test_gives_up_after_attempts(self, embed_server):
+    def test_gives_up_after_attempts(self, quick_retries, embed_server):
         url, state = embed_server
         state["fail_remaining"] = 99
         with pytest.raises(RuntimeError, match="failed after 3 attempts"):
-            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+            fetch_vectors(["a"], ["hello"], url)
         assert state["requests"] == 3
 
-    def test_client_error_not_retried(self, embed_server):
+    def test_client_error_not_retried(self, quick_retries, embed_server):
         url, state = embed_server
         state["fail_remaining"] = 99
         state["fail_status"] = 400
         with pytest.raises(ValueError, match="HTTP 400"):
-            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+            fetch_vectors(["a"], ["hello"], url)
         assert state["requests"] == 1
 
-    def test_rate_limit_retried(self, embed_server):
+    def test_rate_limit_retried(self, quick_retries, embed_server):
         url, state = embed_server
         state["fail_remaining"] = 2
         state["fail_status"] = 429
-        matrix = fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+        matrix = fetch_vectors(["a"], ["hello"], url)
         assert len(matrix) == 1
         assert state["requests"] == 3
 
     @pytest.mark.parametrize("status", [301, 302, 307, 308])
-    def test_redirect_not_followed(self, embed_server, status):
+    def test_redirect_not_followed(self, quick_retries, embed_server, status):
         url, state = embed_server
         state["fail_remaining"] = 99
         state["fail_status"] = status
         with pytest.raises(ValueError, match=f"with redirect HTTP {status}, which is not followed"):
-            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+            fetch_vectors(["a"], ["hello"], url)
         assert state["requests"] == 1
 
-    def test_body_not_json_not_retried(self, embed_server):
+    def test_body_not_json_not_retried(self, quick_retries, embed_server):
         url, state = embed_server
         state["bad_body"] = True
         with pytest.raises(ValueError, match="HTTP 200 with a body that is not JSON"):
-            fetch_vectors(["a"], ["hello"], url, retry_wait=0.01)
+            fetch_vectors(["a"], ["hello"], url)
         assert state["requests"] == 1
 
-    def test_unreachable_service_retried(self):
+    def test_unreachable_service_retried(self, quick_retries, monkeypatch):
+        monkeypatch.setattr(service, "ATTEMPTS", 2)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         # nothing listens on the port once the probe socket is closed
         with pytest.raises(RuntimeError, match="failed after 2 attempts"):
-            fetch_vectors(["a"], ["hello"], f"http://127.0.0.1:{port}/embed",
-                          attempts=2, retry_wait=0.01)
+            fetch_vectors(["a"], ["hello"], f"http://127.0.0.1:{port}/embed")
 
     def test_count_mismatch_not_retried(self, embed_server):
         url, state = embed_server
@@ -407,21 +413,21 @@ class TestFetch:
         assert state["requests"] == requests
 
     @pytest.mark.parametrize("vector", [["x", 1.0], 1.0, [True, False]])
-    def test_non_number_vector_names_unit(self, embed_server, vector):
+    def test_non_number_vector_names_unit(self, quick_retries, embed_server, vector):
         url, state = embed_server
         state["raw_vectors"] = {"odd": vector}
         with pytest.raises(ValueError, match="vector for id 'o#1' is not a list of numbers"):
-            fetch_vectors(["a#0", "o#1"], ["fine", "odd"], url, retry_wait=0.01)
+            fetch_vectors(["a#0", "o#1"], ["fine", "odd"], url)
         assert state["requests"] == 1
 
     # the fixture's other vectors have 8 dimensions
     @pytest.mark.parametrize("value", [1e39, -1e39, 10**400], ids=["1e39", "-1e39", "1e400_int"])
-    def test_out_of_range_vector_names_unit(self, embed_server, value):
+    def test_out_of_range_vector_names_unit(self, quick_retries, embed_server, value):
         url, state = embed_server
         state["raw_vectors"] = {"huge": [1.0] * 7 + [value]}
         with pytest.raises(ValueError, match="embedding service vector for id 'h#1' has a value "
                                              "outside the float32 range"):
-            fetch_vectors(["a#0", "h#1"], ["fine", "huge"], url, retry_wait=0.01)
+            fetch_vectors(["a#0", "h#1"], ["fine", "huge"], url)
         assert state["requests"] == 1
 
     def test_empty_units_rejected(self):
@@ -468,12 +474,12 @@ class TestFetchDedupe:
         with pytest.raises(ValueError, match="duplicate id 'a#0'"):
             fetch_vectors(["a#0", "a#0"], ["same", "same"], url)
 
-    def test_funnel_line_counts_retries(self, embed_server, caplog):
+    def test_funnel_line_counts_retries(self, quick_retries, embed_server, caplog):
         url, state = embed_server
         state["fail_remaining"] = 1
         caplog.set_level(logging.DEBUG, logger="chunkalign")
         fetch_vectors([f"u#{i}" for i in range(6)], ["x", "y", "x", "z", "y", "x"], url,
-                      batch_size=2, retry_wait=0.01)
+                      batch_size=2)
         funnel = [record.getMessage() for record in caplog.records
                   if record.name == "chunkalign.embed_store" and record.levelno == logging.DEBUG]
         assert funnel == ["fetch funnel: 6 texts, 3 distinct, 3 requests, 1 retries"]
@@ -500,7 +506,7 @@ class TestFetchSession:
         started = time.perf_counter()
         matrix = fetch_vectors(ids, texts, url, batch_size=1)
         elapsed = time.perf_counter() - started
-        assert elapsed < 0.5  # one backoff at the default retry_wait alone takes 0.5 s
+        assert elapsed < 0.5  # one backoff at the default RETRY_WAIT alone takes 0.5 s
         assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == []
         funnel = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert funnel == ["fetch funnel: 10 texts, 10 distinct, 10 requests, 0 retries"]
@@ -598,12 +604,13 @@ class TestFetchEnvironment:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{port}")
+        monkeypatch.setattr(service, "ATTEMPTS", 1)
         # nothing listens on the proxy's port
         with pytest.raises(RuntimeError, match="failed after 1 attempts"):
-            fetch_vectors(["a#0"], ["hello"], url, attempts=1)
+            fetch_vectors(["a#0"], ["hello"], url)
         assert state["requests"] == 0
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-        fetch_vectors(["a#0"], ["hello"], url, attempts=1)
+        fetch_vectors(["a#0"], ["hello"], url)
         assert state["requests"] == 1
 
     @pytest.mark.parametrize("endpoint, authority", [
@@ -615,8 +622,9 @@ class TestFetchEnvironment:
                                                authority):
         url, state = embed_server
         monkeypatch.setenv("HTTPS_PROXY", url.removesuffix("/embed"))
+        monkeypatch.setattr(service, "ATTEMPTS", 1)
         with pytest.raises(RuntimeError, match="failed after 1 attempts: Tunnel connection failed"):
-            fetch_vectors(["a#0"], ["hello"], endpoint, attempts=1)
+            fetch_vectors(["a#0"], ["hello"], endpoint)
         [(method, target, headers)] = state["seen"]
         assert (method, target, headers["Host"]) == ("CONNECT", authority, authority)
 
@@ -639,3 +647,13 @@ class TestFetchEnvironment:
         fetch_vectors(["a#0"], ["hello"], url.replace("http://", "http://uu:up@"))
         assert [headers["Authorization"] for _, _, headers in state["seen"]] == [
             _basic("nu", "np"), _basic("uu", "up")]
+
+    def test_undecodable_netrc_ignored(self, embed_server, tmp_path):
+        url, state = embed_server
+        netrc = tmp_path / ".netrc"
+        # not UTF-8; a locale that decodes it finds no entry for the host
+        netrc.write_bytes(b"machine other.invalid login nu password n\xffp\n")
+        netrc.chmod(0o600)
+        assert fetch_vectors(["a#0"], ["hello"], url).ids == ["a#0"]
+        [(_, _, headers)] = state["seen"]
+        assert headers["Authorization"] is None

@@ -196,6 +196,8 @@ _TEXT_INPUTS = {
         '{"doc_id": "l", "lang": "en", "path": ["d0.txt"]}',
         '{"doc_id": {}, "lang": "en", "path": "d0.txt"}',
         '{"doc_id": "x", ', '[1]', 'null',
+        '{"doc_id": "s\\ud800", "lang": "en", "path": "d0.txt"}',
+        '{"doc_id": "p", "lang": "en", "path": "\\udc80.txt"}',
     ]),
     "units": ("units.tsv", "units file", read_units_tsv, read_units_tsv_reference, [
         "u1\tone", "u2\ttwo words\t", "u1\tagain", "u3\t", "nounit", "\tnoid", " \t ",
@@ -208,7 +210,7 @@ _TEXT_INPUTS = {
         '{"unit_id": false, "vector": [1]}',
         '{"unit_id": 0.5, "vector": [1]}',
         '{"unit_id": ["u1"], "vector": [1]}',
-        '{"unit_id": "u3"}',
+        '{"unit_id": "u3"}', '{"unit_id": "\\udc80", "vector": [1]}',
         '{"vector": [1]', '"u1"',
     ]),
     "gold": ("gold.tsv", "gold file", load_gold, load_gold_reference, [
