@@ -44,11 +44,8 @@ def _checked(check, value, message=None):
         raise argparse.ArgumentTypeError(message or str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = _checked(int, text, f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _integer(text: str) -> int:
+    return _checked(int, text, f"expected an integer, got {text!r}")
 
 
 def _granularity(text: str) -> Granularity:
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", required=True, help="units TSV from the segment step")
     p.add_argument("--endpoint", default=None,
                    help=f"embedding service URL (default: ${ENDPOINT_ENV})")
-    p.add_argument("--batch-size", type=_positive_int, default=32)
+    p.add_argument("--batch-size", type=_integer, default=32)
     p.add_argument("--out", required=True, help="output embedding matrix file")
 
     p = sub.add_parser("import-embeddings", help="convert precomputed vectors to a matrix file")
@@ -118,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--src-embeddings", required=True,
                        help="matrix covering the source units at the chosen granularity")
         p.add_argument("--tgt-embeddings", required=True)
-        p.add_argument("-k", type=_positive_int, default=None,
+        p.add_argument("-k", type=_integer, default=None,
                        help="margin neighborhood size (default 16)")
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--workers", type=_integer, default=1,
                        help="threads for the search stage (results are identical for any count)")
         p.add_argument("--noise-src-manifest", default=None,
                        help="pool of unalignable docs to mix into the source side")
@@ -182,8 +179,9 @@ def _run_segment(args, ctx) -> None:
 
 
 def _prepare_fetch(args) -> dict:
-    from .service import route
+    from .service import require_batch_size, route
 
+    require_batch_size(args.batch_size)
     require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
@@ -193,13 +191,11 @@ def _prepare_fetch(args) -> dict:
 
 
 def _run_fetch(args, ctx) -> None:
-    from .embed_store import fetch_vectors, write_matrix
+    from .embed_store import fetch_vectors
 
-    ids = [unit_id for unit_id, _ in ctx["units"]]
-    texts = [text for _, text in ctx["units"]]
+    ids, texts = zip(*ctx["units"])
     matrix = fetch_vectors(ids, texts, ctx["endpoint"], batch_size=args.batch_size)
-    write_matrix(matrix, args.out)
-    print(f"wrote {len(matrix)} x {matrix.dim} embeddings to {args.out}")
+    _run_import(args, {"matrix": matrix})
 
 
 # --- import-embeddings -----------------------------------------------------
@@ -210,9 +206,8 @@ def _prepare_import(args) -> dict:
 
     require_file(args.units, "units file")
     require_file(args.vectors, "vectors file")
-    units = read_units_tsv(args.units)
+    ids = [unit_id for unit_id, _ in read_units_tsv(args.units)]
     vectors = _read_vectors(args.vectors)
-    ids = [unit_id for unit_id, _ in units]
     missing = [unit_id for unit_id in ids if unit_id not in vectors]
     if missing:
         raise ValueError(f"no vector for unit {missing[0]!r} ({len(missing)} missing in total)")
@@ -249,9 +244,7 @@ def _prepare_pool(args) -> dict:
         args.method = PoolingMethod.MP
     require_file(args.manifest, "manifest")
     require_file(args.embeddings, "embeddings file")
-    docs = load_corpus(args.manifest)
-    matrix = read_normalized(args.embeddings)
-    return {"docs": docs, "matrix": matrix}
+    return {"docs": load_corpus(args.manifest), "matrix": read_normalized(args.embeddings)}
 
 
 def _run_pool(args, ctx) -> None:
@@ -278,11 +271,12 @@ def _load_side(manifest: str, noise_manifest: str | None, noise):
 def _prepare_align_inputs(args) -> dict:
     from .embed_store import read_normalized
     from .evaluation import NoiseConfig, derive_side_seeds, load_gold
-    from .miner import MarginParams
+    from .miner import MarginParams, require_same_dim, require_workers
 
     if args.k is None:
         args.k = MarginParams().k
     params = MarginParams(k=args.k, min_margin=args.min_margin)
+    require_workers(args.workers)
     require_file(args.src_manifest, "source manifest")
     require_file(args.tgt_manifest, "target manifest")
     require_file(args.src_embeddings, "source embeddings file")
@@ -299,13 +293,10 @@ def _prepare_align_inputs(args) -> dict:
                                 for seed in derive_side_seeds(args.noise_seed))
     src_docs = _load_side(args.src_manifest, args.noise_src_manifest, src_noise)
     tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
-    gold = None
-    if getattr(args, "gold", None) is not None:
-        gold = load_gold(args.gold)
+    gold = None if getattr(args, "gold", None) is None else load_gold(args.gold)
     src_matrix = read_normalized(args.src_embeddings)
     tgt_matrix = read_normalized(args.tgt_embeddings)
-    if src_matrix.dim != tgt_matrix.dim:
-        raise ValueError(f"embedding dimension mismatch: {src_matrix.dim} vs {tgt_matrix.dim}")
+    require_same_dim(src_matrix, tgt_matrix)
     return {
         "params": params,
         "src_docs": src_docs,

@@ -175,48 +175,40 @@ def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
 def read_matrix(path: str | Path) -> EmbeddingMatrix:
     """Read a matrix written by write_matrix; the round trip is bit-exact.
 
-    The payload's size is checked against the file's before the rows are
-    allocated, and the rows are read straight into the matrix's one array.
-    The file's size comes from the file system, so path names a regular file.
+    The file is read once, front to back.  Each id's size and the payload's
+    are checked against the file's before they are allocated, and the rows
+    are read straight into the matrix's one array.  The file's size comes
+    from the file system, so path names a regular file.
     """
     path = Path(path)
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        blob = handle.read(_HEADER.size)
-        if len(blob) < _HEADER.size:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, version, dim, count = _HEADER.unpack(blob)
+        magic, version, dim, count = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic, not an embedding matrix file")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         if dim < 1:
             raise ValueError(f"{path}: invalid header (dim={dim})")
-        expected = 4 * dim * count
-        # a well-formed id table ends where the payload begins; one that runs
-        # on past that point makes the file malformed, and the rest of the
-        # file is read only to tell which message applies
-        blob += handle.read(max(size - expected - _HEADER.size, 0))
         offset = _HEADER.size
         ids: list[str] = []
         for _ in range(count):
-            end = offset + _ID_LEN.size
-            if end > len(blob):
-                if end > size:
-                    raise ValueError(f"{path}: truncated id table")
-                blob += handle.read()
-            (id_len,) = _ID_LEN.unpack_from(blob, offset)
-            offset, end = end, end + id_len
-            if end > len(blob):
-                if end > size:
-                    raise ValueError(f"{path}: truncated id table")
-                blob += handle.read()
             try:
-                ids.append(blob[offset:end].decode("utf-8"))
+                (id_len,) = _ID_LEN.unpack(handle.read(_ID_LEN.size))
+            except struct.error:  # the file ends inside a length
+                raise ValueError(f"{path}: truncated id table") from None
+            start, offset = offset + _ID_LEN.size, offset + _ID_LEN.size + id_len
+            if offset > size:
+                raise ValueError(f"{path}: truncated id table")
+            try:
+                ids.append(handle.read(id_len).decode("utf-8"))
             except UnicodeDecodeError as exc:  # offsets count from the start of the file
                 raise ValueError(f"{path}: id {len(ids)} is not UTF-8 (undecodable byte at "
-                                 f"offset {offset + exc.start})") from None
-            offset = end
+                                 f"offset {start + exc.start})") from None
+        expected = 4 * dim * count
         found = size - offset
         if found == expected:
             data = np.empty((count, dim), dtype="<f4")
@@ -257,8 +249,7 @@ def fetch_vectors(ids: Sequence[str], texts: Sequence[str], endpoint: str,
         raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
     if not ids:
         raise ValueError("nothing to embed")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    service.require_batch_size(batch_size)
     row_of_text: dict[str, int] = {}
     first_ids: list[str] = []
     inverse: list[int] = []

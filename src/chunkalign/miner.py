@@ -89,10 +89,8 @@ def margin_scores(
         raise ValueError("source side is empty")
     if len(y) == 0:
         raise ValueError("target side is empty")
-    if x.dim != y.dim:
-        raise ValueError(f"embedding dimension mismatch: {x.dim} vs {y.dim}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    require_same_dim(x, y)
+    require_workers(workers)
     _require_unit_rows(x)
     _require_unit_rows(y)
     (fwd_scores, fwd_rows), (bwd_scores, bwd_rows) = knn.search_arrays(
@@ -127,6 +125,18 @@ def margin_scores(
         tgt_ids=y.ids,
         zero_denominators=dropped,
     )
+
+
+def require_same_dim(x: EmbeddingMatrix, y: EmbeddingMatrix) -> None:
+    """Reject two sides of different embedding dimensions."""
+    if x.dim != y.dim:
+        raise ValueError(f"embedding dimension mismatch: {x.dim} vs {y.dim}")
+
+
+def require_workers(workers: int) -> None:
+    """Reject a search thread count below 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _require_unit_rows(side: EmbeddingMatrix) -> None:

@@ -53,6 +53,12 @@ def route(endpoint: str):
     return parts, split(proxy if "://" in proxy else "http://" + proxy, "proxy", ("http",))
 
 
+def require_batch_size(batch_size: int) -> None:
+    """Reject a batch size below 1."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def fetch_batches(texts: Sequence[str], endpoint: str,
                   batch_size: int) -> Iterator[tuple[list, int]]:
     """Per batch of batch_size texts: the reply's 'vectors', one per text, and the requests it took.

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import itertools
 import json
 import os
@@ -13,10 +15,13 @@ import pytest
 
 import chunkalign
 from chunkalign import embed_store, pooled
-from chunkalign.cli import _prepare_align, build_parser, main
-from chunkalign.corpus import Document, load_corpus
-from chunkalign.embed_store import EmbeddingMatrix, normalize, read_matrix, write_matrix
-from chunkalign.miner import MarginParams, write_pairs_tsv
+from chunkalign.cli import _prepare_align, _prepare_pool, build_parser, main
+from chunkalign.corpus import Document, Granularity, load_corpus
+from chunkalign.dac import align_documents_dac, mine_chunk_pairs
+from chunkalign.embed_store import (EmbeddingMatrix, fetch_vectors, normalize, read_matrix,
+                                    write_matrix)
+from chunkalign.evaluation import NoiseConfig
+from chunkalign.miner import MarginParams, margin_scores, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
@@ -409,14 +414,26 @@ class TestNonFiniteOptions:
 
 
 class TestArgumentTypeErrors:
-    """A bad option value is a usage error from the parser, exit 1 before
-    any output, naming the option and the rule it breaks."""
+    """A bad option value is invalid input, exit 1 before any output: the
+    parser names the option and the rule it breaks, and a value that only a
+    library rule rejects is told in that rule's own message."""
+
+    @staticmethod
+    def argv(paths, command, out):
+        if command == "fetch-embeddings":
+            return ["fetch-embeddings", "--units", str(paths["gold"]),
+                    "--endpoint", "http://127.0.0.1:9/embed", "--out", str(out)]
+        argv = align_argv(paths, out)
+        argv[0] = command
+        if command == "sweep":
+            # a bad --thresholds given after this one replaces it
+            argv += ["--gold", str(paths["gold"]), "--thresholds", "0.1"]
+        return argv
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("align", "-k", "x", "expected an integer, got 'x'"),
-        ("align", "-k", "0", "must be >= 1"),
-        ("align", "--workers", "0", "must be >= 1"),
-        ("fetch-embeddings", "--batch-size", "0", "must be >= 1"),
+        ("align", "--workers", "1.5", "expected an integer, got '1.5'"),
+        ("fetch-embeddings", "--batch-size", "x", "expected an integer, got 'x'"),
         ("align", "--threshold", "x", "expected a float, got 'x'"),
         ("align", "--threshold", "1.5", "threshold 1.5 outside [0, 1]"),
         ("align", "--threshold", "nan", "threshold nan outside [0, 1]"),
@@ -431,19 +448,84 @@ class TestArgumentTypeErrors:
     ])
     def test_usage_error(self, aligned_setup, capsys, command, flag, value, message):
         out = aligned_setup["root"] / "out"
-        if command == "fetch-embeddings":
-            argv = ["fetch-embeddings", "--units", str(aligned_setup["gold"]),
-                    "--endpoint", "http://127.0.0.1:9/embed", "--out", str(out)]
-        else:
-            argv = align_argv(aligned_setup, out)
-            argv[0] = command
-            if command == "sweep":
-                argv += ["--gold", str(aligned_setup["gold"])]
-        assert run_cli([*argv, flag, value]) == 1
+        assert run_cli([*self.argv(aligned_setup, command, out), flag, value]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(f"usage: chunkalign {command} ")
         assert err[-1] == f"chunkalign {command}: error: argument {flag}: {message}"
         assert not out.exists()
+
+    # the parser takes any integer; the library owns the rule that it is >= 1
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("align", "-k", "0", "k must be >= 1, got 0"),
+        ("sweep", "-k", "-1", "k must be >= 1, got -1"),
+        ("align", "--workers", "0", "workers must be >= 1, got 0"),
+        ("sweep", "--workers", "0", "workers must be >= 1, got 0"),
+        ("fetch-embeddings", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ])
+    def test_below_one_is_invalid_input(self, aligned_setup, capsys, command, flag, value,
+                                        message):
+        out = aligned_setup["root"] / "out"
+        assert run_cli([*self.argv(aligned_setup, command, out), flag, value]) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {message}\n"
+        assert not out.exists()
+
+
+def _option(command, flag):
+    """The parser action of one command's option."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in sub.choices[command]._actions
+                if flag in action.option_strings)
+
+
+def _stated_default(command, flag):
+    return re.search(r"\(default (\S+)\)$", _option(command, flag).help).group(1)
+
+
+def _default_of(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+class TestStatedDefaults:
+    """Each default that the CLI states, in its help text or as a parser
+    literal, is the one its library owner applies."""
+
+    @pytest.mark.parametrize("command, flag, owner", [
+        ("align", "-k", MarginParams().k),
+        ("sweep", "-k", _default_of(mine_chunk_pairs, "params").k),
+        ("align", "--threshold", _default_of(align_documents_dac, "threshold")),
+        ("align", "-g", _default_of(mine_chunk_pairs, "granularity").sentences),
+        ("segment", "-g", Granularity().sentences),
+        ("align", "--noise-ratio", NoiseConfig().ratio),
+    ])
+    def test_help_text(self, command, flag, owner):
+        assert _stated_default(command, flag) == str(owner)
+
+    def test_help_text_of_pooling_method(self, aligned_setup):
+        # no library function defaults the method: the CLI's prepare does
+        args = build_parser().parse_args(align_argv(aligned_setup, "out", "--mode", "pooled"))
+        _prepare_align(args)
+        assert _stated_default("align", "--method") == args.method.name
+        args = build_parser().parse_args([
+            "pool", "--manifest", str(aligned_setup["src_manifest"]),
+            "--embeddings", str(aligned_setup["src_emb"]), "--out", "out"])
+        _prepare_pool(args)
+        assert _stated_default("pool", "--method") == args.method.name
+
+    @pytest.mark.parametrize("command, flag, owner", [
+        ("fetch-embeddings", "--batch-size", _default_of(fetch_vectors, "batch_size")),
+        ("align", "--noise-ratio", NoiseConfig().ratio),
+        ("align", "--noise-seed", NoiseConfig().seed),
+        ("sweep", "--noise-ratio", NoiseConfig().ratio),
+        ("sweep", "--noise-seed", NoiseConfig().seed),
+        ("align", "--workers", _default_of(margin_scores, "workers")),
+        ("sweep", "--workers", _default_of(mine_chunk_pairs, "workers")),
+        ("align", "--min-margin", MarginParams().min_margin),
+        ("segment", "-g", Granularity()),
+        ("sweep", "-g", _default_of(mine_chunk_pairs, "granularity")),
+    ])
+    def test_parser_literal(self, command, flag, owner):
+        assert _option(command, flag).default == owner
 
 
 class TestInputFaultsBeforeOutput:
@@ -1202,6 +1284,16 @@ class TestStartup:
         result = json.loads(_probe(_CLI_PROBE, "fetch-embeddings", "--units", str(units),
                                    "--endpoint", "http://127.0.0.1:notaport/embed",
                                    "--out", str(tmp_path / "emb.demb")))
+        assert result == [1, False, ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
+                                     "chunkalign.service"]]
+
+    def test_fetch_with_batch_size_0_leaves_numpy_out(self, tmp_path):
+        # the batch-size rule lives with the client, not the matrix module
+        units = tmp_path / "units.tsv"
+        units.write_text("d#0\thello world\n", encoding="utf-8")
+        result = json.loads(_probe(_CLI_PROBE, "fetch-embeddings", "--units", str(units),
+                                   "--endpoint", "http://127.0.0.1:9/embed", "--batch-size",
+                                   "0", "--out", str(tmp_path / "emb.demb")))
         assert result == [1, False, ["chunkalign", "chunkalign.cli", "chunkalign.corpus",
                                      "chunkalign.service"]]
 

@@ -257,6 +257,21 @@ class TestMatrixFile:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("reader", [read_matrix, read_normalized])
+    def test_oversized_id_length_allocates_nothing_large(self, tmp_path, reader):
+        # the first id claims the largest length (u32), 4 GiB; 9 bytes follow
+        path = tmp_path / "huge_id.demb"
+        path.write_bytes(struct.pack("<4sHIQ", b"DEMB", 1, 2, 1)
+                         + struct.pack("<I", 2**32 - 1) + b"a" + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated id table$"):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_read_normalized_holds_one_copy(self, tmp_path):
         rows = np.random.default_rng(6).standard_normal((20_000, 256)).astype(np.float32)
         path = tmp_path / "big.demb"
@@ -433,6 +448,13 @@ class TestFetch:
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):
             fetch_vectors([], [], "http://unused.invalid")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected_before_any_request(self, embed_server, batch_size):
+        url, state = embed_server
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            fetch_vectors(["a#0"], ["hello"], url, batch_size=batch_size)
+        assert state["requests"] == 0
 
 
 class TestFetchDedupe:
