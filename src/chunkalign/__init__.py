@@ -17,7 +17,7 @@ _EXPORTS = {
                     "write_matrix"],
     "evaluation": ["EvalReport", "GoldSet", "NoiseConfig", "inject_noise", "load_gold",
                    "load_pairs", "score", "sweep_thresholds"],
-    "miner": ["AlignedUnitPair", "MarginParams", "greedy_match", "margin_scores", "mine"],
+    "miner": ["AlignedUnitPair", "MarginParams", "greedy_match", "margin_scores"],
     "pooled": ["align_documents_pooled", "pool_corpus"],
     "pooling": ["PoolingMethod", "build_idf"],
 }

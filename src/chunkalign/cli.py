@@ -19,8 +19,6 @@ from .corpus import (Granularity, json_records, load_corpus, read_units_tsv, req
 # imports take most of a short command's startup.  Only the types of
 # --method, --threshold and --thresholds load the module whose rule they check.
 
-logger = logging.getLogger(__name__)
-
 ENDPOINT_ENV = "CHUNKALIGN_ENDPOINT"
 
 EXIT_OK = 0
@@ -162,10 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_out(path: str) -> None:
+    """Reject an --out that names a directory or whose directory does not exist."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path is a directory: {Path(path)}")
+    if not os.path.isdir(Path(path).parent):
+        raise ValueError(f"output directory not found: {Path(path).parent}")
+
+
 # --- segment ---------------------------------------------------------------
 
 
 def _prepare_segment(args) -> dict:
+    _require_out(args.out)
     return {"docs": load_corpus(args.manifest)}
 
 
@@ -182,6 +189,7 @@ def _prepare_fetch(args) -> dict:
     from .service import require_batch_size, route
 
     require_batch_size(args.batch_size)
+    _require_out(args.out)
     require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
@@ -204,6 +212,7 @@ def _run_fetch(args, ctx) -> None:
 def _prepare_import(args) -> dict:
     from .embed_store import matrix_from_vectors
 
+    _require_out(args.out)
     require_file(args.units, "units file")
     require_file(args.vectors, "vectors file")
     ids = [unit_id for unit_id, _ in read_units_tsv(args.units)]
@@ -242,6 +251,7 @@ def _prepare_pool(args) -> dict:
 
     if args.method is None:
         args.method = PoolingMethod.MP
+    _require_out(args.out)
     require_file(args.manifest, "manifest")
     require_file(args.embeddings, "embeddings file")
     return {"docs": load_corpus(args.manifest), "matrix": read_normalized(args.embeddings)}
@@ -334,8 +344,8 @@ def _prepare_align(args) -> dict:
 
 
 def _write_run_config(args, command: str) -> Path:
-    """Make the run's --out-dir, echo the resolved settings of an align or
-    sweep run to config.json in it and return it."""
+    """Make the run's --out-dir, clear it of an earlier run's outputs, echo the
+    resolved settings of an align or sweep run to config.json in it, return it."""
     mode = getattr(args, "mode", "dac")
     method = getattr(args, "method", None)
     noisy = bool(args.noise_src_manifest or args.noise_tgt_manifest)
@@ -365,6 +375,9 @@ def _write_run_config(args, command: str) -> Path:
     payload = json.dumps(config, indent=2, sort_keys=True)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # every output of an earlier run: left in place, it would pass for this run's
+    for name in ("pairs.tsv", "report.tsv", "chunk_pairs.tsv", "reports.tsv", "reports.json"):
+        (out_dir / name).unlink(missing_ok=True)
     (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
     return out_dir
 
@@ -439,6 +452,8 @@ def _run_sweep(args, ctx) -> None:
 def _prepare_evaluate(args) -> dict:
     from .evaluation import load_gold, load_pairs
 
+    if args.out is not None:
+        _require_out(args.out)
     require_file(args.pairs, "pairs file")
     require_file(args.gold, "gold file")
     return {"predicted": load_pairs(args.pairs), "gold": load_gold(args.gold)}

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .corpus import ChunkUnit, Document, Granularity, segment
 from .embed_store import EmbeddingMatrix
-from .miner import AlignedUnitPair, MarginParams, mine
+from .miner import AlignedUnitPair, MarginParams, greedy_match, margin_scores
 
 DEFAULT_THRESHOLD = 0.1
 
@@ -143,7 +143,7 @@ def mine_chunk_pairs(
     tgt_units = [unit for doc in tgt_docs for unit in segment(doc, granularity)]
     x = src_embeddings.select([unit.unit_id for unit in src_units])
     y = tgt_embeddings.select([unit.unit_id for unit in tgt_units])
-    pairs = mine(x, y, params, workers=workers)
+    pairs = greedy_match(margin_scores(x, y, params, workers=workers))
     return pairs, aggregate(pairs, src_units, tgt_units)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -52,8 +52,8 @@ class Candidates:
 
     Candidate c pairs row src_rows[c] of the source side with row tgt_rows[c]
     of the target side; src_ids and tgt_ids are those sides' row ids.
-    zero_denominators counts the pairs of the k-NN union that were dropped
-    for a zero margin denominator.
+    zero_denominators counts the k-NN union's pairs dropped for a zero margin
+    denominator, below_min_margin those of the rest dropped below min_margin.
     """
 
     src_rows: np.ndarray
@@ -63,6 +63,7 @@ class Candidates:
     src_ids: Sequence[str]
     tgt_ids: Sequence[str]
     zero_denominators: int
+    below_min_margin: int
 
     def __len__(self) -> int:
         return len(self.margins)
@@ -80,7 +81,9 @@ def margin_scores(
     average cosines to their k nearest neighbors on the opposite side, with k
     clamped to that side's size.  Candidates whose averages cancel to a zero
     denominator are dropped: a ratio against an empty neighborhood carries no
-    signal.
+    signal.  So are those below params.min_margin, if set: greedy_match
+    scans by descending margin, so one can only block others below the floor,
+    and dropping it gives the pairs that a floor after matching would.
 
     Both sides must be non-empty, of one dimension and of unit rows, and
     workers at least 1: checked here only, as knn checks nothing.
@@ -111,19 +114,25 @@ def margin_scores(
 
     denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
     kept = denominators != 0.0
-    dropped = len(kept) - int(np.count_nonzero(kept))
+    scored = int(np.count_nonzero(kept))
+    # a zero denominator gives an inf or nan margin, which kept already drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margins = cosines / denominators
+        if params.min_margin is not None:
+            kept &= margins >= params.min_margin
+    survivors = int(np.count_nonzero(kept))
     # masking copies all four arrays, so it is done only when it drops one
-    if dropped:
-        src, tgt, cosines, denominators = (
-            array[kept] for array in (src, tgt, cosines, denominators))
+    if survivors < len(kept):
+        src, tgt, cosines, margins = (array[kept] for array in (src, tgt, cosines, margins))
     return Candidates(
         src_rows=src,
         tgt_rows=tgt,
         cosines=cosines,
-        margins=cosines / denominators,
+        margins=margins,
         src_ids=x.ids,
         tgt_ids=y.ids,
-        zero_denominators=dropped,
+        zero_denominators=len(kept) - scored,
+        below_min_margin=scored - survivors,
     )
 
 
@@ -240,6 +249,12 @@ def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
     # one-to-one, so the source rank alone orders the accepted pairs by ids
     chosen = np.array(accepted, dtype=np.int64)
     chosen = chosen[np.argsort(src_ranks[candidates.src_rows[chosen]])]
+    logger.debug(
+        "mining funnel: %d candidates, %d dropped for a zero margin denominator, "
+        "%d below min_margin, %d matched",
+        len(candidates) + candidates.below_min_margin, candidates.zero_denominators,
+        candidates.below_min_margin, len(chosen),
+    )
     return [
         AlignedUnitPair(src_id=candidates.src_ids[i], tgt_id=candidates.tgt_ids[j],
                         cosine=cosine, margin=margin)
@@ -247,38 +262,6 @@ def greedy_match(candidates: Candidates) -> list[AlignedUnitPair]:
             candidates.src_rows[chosen].tolist(), candidates.tgt_rows[chosen].tolist(),
             candidates.cosines[chosen].tolist(), candidates.margins[chosen].tolist())
     ]
-
-
-def mine(
-    x: EmbeddingMatrix,
-    y: EmbeddingMatrix,
-    params: MarginParams = MarginParams(),
-    workers: int = 1,
-) -> list[AlignedUnitPair]:
-    """margin_scores, the params.min_margin floor, then greedy_match.
-
-    Dropping the candidates below the floor before matching gives the pairs
-    that dropping the matched pairs below it would: the scan meets margins
-    in descending order, so a candidate below the floor can only block
-    candidates below it too.
-    """
-    candidates = margin_scores(x, y, params, workers=workers)
-    scored = len(candidates)
-    if params.min_margin is not None:
-        kept = candidates.margins >= params.min_margin
-        if not kept.all():
-            candidates = replace(
-                candidates, src_rows=candidates.src_rows[kept],
-                tgt_rows=candidates.tgt_rows[kept], cosines=candidates.cosines[kept],
-                margins=candidates.margins[kept])
-    pairs = greedy_match(candidates)
-    logger.debug(
-        "mining funnel: %d candidates, %d dropped for a zero margin denominator, "
-        "%d below min_margin %s, %d matched",
-        scored, candidates.zero_denominators, scored - len(candidates), params.min_margin,
-        len(pairs),
-    )
-    return pairs
 
 
 def write_pairs_tsv(pairs: Sequence[AlignedUnitPair], path: str | Path) -> None:

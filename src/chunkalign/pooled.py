@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import Document, make_unit_id
 from .embed_store import EmbeddingMatrix
-from .miner import AlignedUnitPair, MarginParams, mine
+from .miner import AlignedUnitPair, MarginParams, greedy_match, margin_scores
 from .pooling import PoolingMethod, build_idf, unit_weights
 
 
@@ -60,4 +60,4 @@ def align_documents_pooled(
     del src_embeddings
     y = pool_corpus(tgt_docs, tgt_embeddings, method)
     del tgt_embeddings
-    return mine(x, y, params, workers=workers)
+    return greedy_match(margin_scores(x, y, params, workers=workers))

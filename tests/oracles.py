@@ -272,6 +272,7 @@ def candidate_union_oracle(x, y, k, workers=1):
         src_ids=x.ids,
         tgt_ids=y.ids,
         zero_denominators=len(kept) - int(np.count_nonzero(kept)),
+        below_min_margin=0,
     )
 
 
@@ -304,6 +305,7 @@ def candidates_from_tuples(tuples, src_ids=None, tgt_ids=None):
         src_ids=list(src_ids),
         tgt_ids=list(tgt_ids),
         zero_denominators=0,
+        below_min_margin=0,
     )
 
 

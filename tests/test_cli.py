@@ -240,7 +240,7 @@ class TestAlignDac:
 
 class TestVerbose:
     FUNNEL = re.compile(r"mining funnel: (\d+) candidates, (\d+) dropped .*, "
-                        r"(\d+) below min_margin \S+, (\d+) matched")
+                        r"(\d+) below min_margin, (\d+) matched")
 
     def funnel_lines(self, caplog):
         return [record.getMessage() for record in caplog.records
@@ -268,7 +268,7 @@ class TestVerbose:
         caplog.clear()
         assert run_cli(["--verbose", *align_argv(aligned_setup, aligned_setup["root"] / "v2")]) == 0
         (line,) = self.funnel_lines(caplog)
-        assert "0 below min_margin None" in line
+        assert "0 below min_margin," in line
         assert int(self.FUNNEL.search(line).group(4)) == len(matched)
 
 
@@ -323,19 +323,19 @@ class TestAlignPooled:
                         reason="before 3.11 a caller holds its call's arguments until it returns")
     def test_sentence_matrices_freed_before_mining(self, aligned_setup, monkeypatch):
         refs, alive = [], []
-        read, mine = embed_store.read_normalized, pooled.mine
+        read, score = embed_store.read_normalized, pooled.margin_scores
 
         def read_normalized(path):
             matrix = read(path)
             refs.append(weakref.ref(matrix))
             return matrix
 
-        def mine_pooled(*args, **kwargs):
+        def margin_scores_pooled(*args, **kwargs):
             alive.extend(ref() is not None for ref in refs)
-            return mine(*args, **kwargs)
+            return score(*args, **kwargs)
 
         monkeypatch.setattr(embed_store, "read_normalized", read_normalized)
-        monkeypatch.setattr(pooled, "mine", mine_pooled)
+        monkeypatch.setattr(pooled, "margin_scores", margin_scores_pooled)
         out_dir = aligned_setup["root"] / "pooled"
         assert run_cli(align_argv(aligned_setup, out_dir, "--mode", "pooled")) == 0
         assert alive == [False, False]
@@ -697,6 +697,40 @@ class TestInputFaultsBeforeOutput:
             "(undecodable byte at offset 22)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["segment", "fetch-embeddings", "import-embeddings",
+                                         "pool", "evaluate"])
+    def test_unusable_out(self, aligned_setup, embed_server, capsys, command):
+        # every input is sound: only the --out fault is left to report
+        url, state = embed_server
+        root, manifest = aligned_setup["root"], aligned_setup["src_manifest"]
+        units, vectors, pairs = root / "units.tsv", root / "vectors.jsonl", root / "pairs.tsv"
+        assert run_cli(["segment", "--manifest", str(manifest), "--out", str(units)]) == 0
+        unit_ids = [line.split("\t")[0] for line in units.read_text().splitlines()[1:]]
+        vectors.write_text("".join(json.dumps({"unit_id": unit_id, "vector": [1.0, 0.0]}) + "\n"
+                                   for unit_id in unit_ids), encoding="utf-8")
+        pairs.write_text("s0000\tt0000\n", encoding="utf-8")
+        capsys.readouterr()
+        missing, directory = root / "nodir", root / "outdir"
+        directory.mkdir()
+        for out, problem in [(missing / "out", f"output directory not found: {missing}"),
+                             (directory, f"output path is a directory: {directory}")]:
+            argv = {
+                "segment": ["segment", "--manifest", manifest, "--out", out],
+                "fetch-embeddings": ["fetch-embeddings", "--units", units, "--endpoint", url,
+                                     "--out", out],
+                "import-embeddings": ["import-embeddings", "--units", units,
+                                      "--vectors", vectors, "--out", out],
+                "pool": ["pool", "--manifest", manifest,
+                         "--embeddings", aligned_setup["src_emb"], "--out", out],
+                "evaluate": ["evaluate", "--pairs", pairs, "--gold", aligned_setup["gold"],
+                             "--out", out],
+            }[command]
+            assert run_cli([str(arg) for arg in argv]) == 1
+            assert capsys.readouterr().err == f"chunkalign: invalid input: {problem}\n"
+        assert not missing.exists()
+        assert list(directory.iterdir()) == []
+        assert state["requests"] == 0
+
     @pytest.mark.parametrize("missing, named", [
         (("pairs", "gold"), "pairs"), (("pairs",), "pairs"), (("gold",), "gold"),
     ])
@@ -809,6 +843,35 @@ class TestConfigJson:
         assert text == self.expected(aligned_setup, out_dir, "sweep", granularity="1",
                                      keep_all=False, thresholds=[0.0, 0.2]).replace(
             '"thresholds": [0.0, 0.2]', '"thresholds": [\n    0.0,\n    0.2\n  ]')
+
+
+class TestReusedOutDir:
+    """A run clears its --out-dir of an earlier run's outputs; an exit-1 run
+    touches nothing."""
+
+    def test_align_then_align(self, aligned_setup):
+        out_dir = aligned_setup["root"] / "r1"
+        assert run_cli(align_argv(aligned_setup, out_dir, "--gold", str(aligned_setup["gold"]),
+                                  "--dump-chunk-pairs", "--keep-all")) == 0
+        first = sorted(path.name for path in out_dir.iterdir())
+        assert first == ["chunk_pairs.tsv", "config.json", "pairs.tsv", "report.tsv"]
+        assert run_cli(align_argv(aligned_setup, out_dir, "-k", "0")) == 1
+        assert sorted(path.name for path in out_dir.iterdir()) == first
+        assert run_cli(align_argv(aligned_setup, out_dir, "--threshold", "0.9")) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["config.json", "pairs.tsv"]
+
+    def test_sweep_json_then_tsv(self, aligned_setup):
+        out_dir = aligned_setup["root"] / "r1"
+        argv = TestNonFiniteOptions.argv(aligned_setup, "sweep", out_dir)
+        assert run_cli([*argv, "--format", "json"]) == 0
+        assert run_cli([*argv, "--format", "tsv"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["config.json", "reports.tsv"]
+
+    def test_sweep_then_align(self, aligned_setup):
+        out_dir = aligned_setup["root"] / "r1"
+        assert run_cli(TestNonFiniteOptions.argv(aligned_setup, "sweep", out_dir)) == 0
+        assert run_cli(align_argv(aligned_setup, out_dir)) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["config.json", "pairs.tsv"]
 
 
 class TestNoiseInjectionFlags:

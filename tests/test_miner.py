@@ -14,7 +14,6 @@ from chunkalign.miner import (
     MarginParams,
     greedy_match,
     margin_scores,
-    mine,
     write_pairs_tsv,
 )
 from conftest import random_unit_matrix, tie_heavy_search
@@ -205,6 +204,25 @@ class TestCandidateUnionProperties:
             assert got_array.tobytes() == expected_array.tobytes()
         assert got.zero_denominators == expected.zero_denominators
 
+    # the floor is one of the unfloored margins, so candidates sit exactly on it
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_search(), st.data())
+    def test_floor_masks_unfloored_candidates(self, case, data):
+        x_rows, y_rows, k = case
+        x = unit_matrix([f"s{i}" for i in range(len(x_rows))], x_rows)
+        y = unit_matrix([f"t{j}" for j in range(len(y_rows))], y_rows)
+        unfloored = margin_scores(x, y, MarginParams(k=k))
+        floor = data.draw(st.sampled_from(unfloored.margins.tolist() or [0.0]))
+        got = margin_scores(x, y, MarginParams(k=k, min_margin=floor))
+        kept = unfloored.margins >= floor
+        for field in ("src_rows", "tgt_rows", "cosines", "margins"):
+            got_array, expected_array = getattr(got, field), getattr(unfloored, field)[kept]
+            assert got_array.dtype == expected_array.dtype
+            assert got_array.tobytes() == expected_array.tobytes()
+        assert unfloored.below_min_margin == 0
+        assert got.zero_denominators == unfloored.zero_denominators
+        assert got.below_min_margin == len(unfloored) - int(np.count_nonzero(kept))
+
 
 class TestGreedyMatch:
     def test_hand_trace(self):
@@ -231,7 +249,7 @@ class TestGreedyMatch:
         candidates = Candidates(
             src_rows=np.repeat(np.arange(n), 10), tgt_rows=rng.integers(0, n, size=10 * n),
             cosines=cosines, margins=1.5 * cosines, src_ids=[f"s{i}" for i in range(n)],
-            tgt_ids=[f"t{j}" for j in range(n)], zero_denominators=0)
+            tgt_ids=[f"t{j}" for j in range(n)], zero_denominators=0, below_min_margin=0)
         tracemalloc.start()
         try:
             pairs = greedy_match(candidates)
@@ -322,6 +340,7 @@ class TestGreedyProperties:
         with mock.patch.object(miner, "_SCAN_SLICE", scan_slice):
             assert greedy_match(candidates) == greedy_oracle(tuples)
 
+    # margin_scores drops the candidates below the floor before matching;
     # the floor is drawn from the pool too, so candidates sit exactly on it
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), src_ids=side_ids, tgt_ids=side_ids, pool=value_pools)
@@ -334,10 +353,8 @@ class TestGreedyProperties:
         tuples = data.draw(st.permutations(tuples))
         floor = data.draw(values)
         expected = [pair for pair in greedy_oracle(tuples) if pair.margin >= floor]
-        candidates = candidates_from_tuples(tuples, src_ids, tgt_ids)
-        # mine's own floor and matching, on candidates with tied margins
-        with mock.patch.object(miner, "margin_scores", return_value=candidates):
-            assert mine(None, None, MarginParams(min_margin=floor)) == expected
+        floored = [t for t in tuples if t[3] >= floor]
+        assert greedy_match(candidates_from_tuples(floored, src_ids, tgt_ids)) == expected
 
 
 class TestMine:
@@ -345,7 +362,7 @@ class TestMine:
         # two tight clusters per side; mining should pair them up cleanly
         x = unit_matrix(["x0", "x1"], [[1.0, 0.0], [0.0, 1.0]])
         y = unit_matrix(["y0", "y1"], [[0.0, 1.0], [1.0, 0.0]])
-        pairs = mine(x, y, MarginParams(k=2))
+        pairs = greedy_match(margin_scores(x, y, MarginParams(k=2)))
         assert {(p.src_id, p.tgt_id) for p in pairs} == {("x0", "y1"), ("x1", "y0")}
 
     def test_self_alignment_of_identical_matrices(self):
@@ -353,7 +370,7 @@ class TestMine:
         rows = random_unit_matrix(rng, 20, 16)
         x = unit_matrix([f"s{i}" for i in range(20)], rows)
         y = unit_matrix([f"t{i}" for i in range(20)], rows)
-        pairs = mine(x, y, MarginParams(k=4))
+        pairs = greedy_match(margin_scores(x, y, MarginParams(k=4)))
         twins = {(f"s{i}", f"t{i}") for i in range(20)}
         assert {(p.src_id, p.tgt_id) for p in pairs} >= twins
 
@@ -370,17 +387,19 @@ class TestMine:
         x_rows = np.round(random_unit_matrix(rng, 600, 24) * 4096) / 4096
         y_rows = np.round(random_unit_matrix(rng, 300, 24) * 4096) / 4096
         params = MarginParams(k=8)
-        expected = mine(unit_matrix(x_ids, x_rows), unit_matrix(y_ids, y_rows), params)
+        expected = greedy_match(margin_scores(unit_matrix(x_ids, x_rows),
+                                              unit_matrix(y_ids, y_rows), params))
         px, py = rng.permutation(600), rng.permutation(300)
-        permuted = mine(unit_matrix([x_ids[i] for i in px], x_rows[px]),
-                        unit_matrix([y_ids[j] for j in py], y_rows[py]), params)
+        permuted = greedy_match(margin_scores(unit_matrix([x_ids[i] for i in px], x_rows[px]),
+                                              unit_matrix([y_ids[j] for j in py], y_rows[py]),
+                                              params))
         assert permuted == expected
 
     def test_pair_count_bounded_by_smaller_side(self):
         rng = np.random.default_rng(9)
         x = unit_matrix([f"s{i}" for i in range(3)], random_unit_matrix(rng, 3, 8))
         y = unit_matrix([f"t{i}" for i in range(12)], random_unit_matrix(rng, 12, 8))
-        pairs = mine(x, y, MarginParams(k=5))
+        pairs = greedy_match(margin_scores(x, y, MarginParams(k=5)))
         assert len(pairs) <= 3
 
 

@@ -17,7 +17,7 @@ DEFINED_IN = {
     "align_documents_dac": "dac", "align_documents_pooled": "pooled", "build_idf": "pooling",
     "compute_dac": "dac", "greedy_match": "miner", "inject_noise": "evaluation",
     "load_corpus": "corpus", "load_gold": "evaluation", "load_pairs": "evaluation",
-    "margin_scores": "miner", "mine": "miner", "normalize": "embed_store",
+    "margin_scores": "miner", "normalize": "embed_store",
     "pool_corpus": "pooled", "read_matrix": "embed_store", "read_normalized": "embed_store",
     "score": "evaluation",
     "segment": "corpus", "select_pairs": "dac", "sweep_thresholds": "evaluation",
