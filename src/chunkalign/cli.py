@@ -14,10 +14,10 @@ from .corpus import (Granularity, json_records, load_corpus, read_units_tsv, req
                      write_units_tsv)
 
 # Each command imports the modules it runs inside its prepare and run
-# functions, and no parser default needs one, so segment, --help and usage
-# errors skip numpy and fetch-embeddings skips the mining modules: those
-# imports take most of a short command's startup.  Only the types of
-# --method, --threshold and --thresholds load the module whose rule they check.
+# functions, and no parser type or default needs one, so segment, --help and
+# usage errors skip numpy and fetch-embeddings skips the mining modules: those
+# imports take most of a short command's startup.  The types read syntax only;
+# each rule on a value runs in the prepare step, through the rule's owner.
 
 ENDPOINT_ENV = "CHUNKALIGN_ENDPOINT"
 
@@ -34,46 +34,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _checked(check, value, message=None):
-    """check(value); its ValueError becomes the usage error, told as message or its own."""
+def _checked(convert, text: str, message: str):
+    """convert(text); its ValueError becomes the usage error told as message."""
     try:
-        return check(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(message or str(exc)) from None
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _integer(text: str) -> int:
     return _checked(int, text, f"expected an integer, got {text!r}")
 
 
-def _granularity(text: str) -> Granularity:
-    return _checked(Granularity.from_string, text)
-
-
-def _threshold(text: str) -> float:
-    from .dac import require_threshold
-
-    value = _checked(float, text, f"expected a float, got {text!r}")
-    _checked(require_threshold, value)
-    return value
-
-
-def _pooling_method(text: str):
-    from .pooling import PoolingMethod
-
-    return _checked(PoolingMethod.from_string, text)
+def _float(text: str) -> float:
+    return _checked(float, text, f"expected a float, got {text!r}")
 
 
 def _threshold_list(text: str) -> list[float]:
-    from .dac import require_thresholds
-
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("empty threshold list")
-    values = [_checked(float, part, "expected a comma-separated list of floats")
-              for part in parts]
-    _checked(require_thresholds, values)
-    return values
+    return [_checked(float, part, "expected a comma-separated list of floats") for part in parts]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", parents=[], help="split documents into units for embedding")
     p.add_argument("--manifest", required=True, help="JSON-lines corpus manifest")
-    p.add_argument("-g", "--granularity", type=_granularity, default=Granularity(1),
+    p.add_argument("-g", "--granularity", type=_integer, default=1,
                    help="sentences per unit (default 1)")
     p.add_argument("--out", required=True, help="output units TSV (unit_id<TAB>text)")
 
@@ -103,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="pool sentence embeddings into document vectors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings", required=True, help="sentence-level (granularity 1) matrix")
-    p.add_argument("--method", type=_pooling_method, default=None,
-                   help="MP, LP, IDF or LIDF (default MP)")
+    p.add_argument("--method", default=None, help="MP, LP, IDF or LIDF (default MP)")
     p.add_argument("--out", required=True, help="output document matrix file")
 
     def add_align_inputs(p):
@@ -120,22 +100,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-src-manifest", default=None,
                        help="pool of unalignable docs to mix into the source side")
         p.add_argument("--noise-tgt-manifest", default=None)
-        p.add_argument("--noise-ratio", type=float, default=0.5,
+        p.add_argument("--noise-ratio", type=_float, default=0.5,
                        help="noise docs as a fraction of alignable docs (default 0.5)")
-        p.add_argument("--noise-seed", type=int, default=0)
-        p.add_argument("--min-margin", type=float, default=None,
+        p.add_argument("--noise-seed", type=_integer, default=0)
+        p.add_argument("--min-margin", type=_float, default=None,
                        help="optional margin floor on mined pairs (disabled by default)")
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("align", help="align two corpora into document pairs")
     p.add_argument("--mode", choices=["dac", "pooled"], default="dac")
     add_align_inputs(p)
-    p.add_argument("-g", "--granularity", type=_granularity, default=None,
+    p.add_argument("-g", "--granularity", type=_integer, default=None,
                    help="sentences per chunk for --mode dac (default 1)")
-    p.add_argument("--threshold", type=_threshold, default=None,
+    p.add_argument("--threshold", type=_float, default=None,
                    help="document alignment coefficient cutoff for --mode dac (default 0.1)")
-    p.add_argument("--method", type=_pooling_method, default=None,
-                   help="pooling method for --mode pooled (default MP)")
+    p.add_argument("--method", default=None, help="pooling method for --mode pooled (default MP)")
     p.add_argument("--keep-all", action="store_true",
                    help="keep every pair above the threshold instead of one-to-one matching")
     p.add_argument("--dump-chunk-pairs", action="store_true",
@@ -144,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="score the dac path at several thresholds")
     add_align_inputs(p)
-    p.add_argument("-g", "--granularity", type=_granularity, default=Granularity(1))
+    p.add_argument("-g", "--granularity", type=_integer, default=1)
     p.add_argument("--thresholds", type=_threshold_list, required=True,
                    help="comma-separated ascending list, e.g. 0.0,0.1,0.2")
     p.add_argument("--keep-all", action="store_true")
@@ -168,10 +147,28 @@ def _require_out(path: str) -> None:
         raise ValueError(f"output directory not found: {Path(path).parent}")
 
 
+# the files an align or sweep run writes into its --out-dir, and so clears from
+# it first: an earlier run's, left in place, would pass for this run's
+_RUN_OUTPUTS = ("config.json", "pairs.tsv", "report.tsv", "chunk_pairs.tsv", "reports.tsv",
+                "reports.json")
+
+
+def _require_out_dir(path: str) -> None:
+    """Reject an --out-dir that a run could not make or write _RUN_OUTPUTS into."""
+    out_dir = Path(path)
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not os.path.isdir(existing):
+        raise ValueError(f"output path is not a directory: {existing}")
+    for name in _RUN_OUTPUTS:
+        if os.path.isdir(out_dir / name):
+            raise ValueError(f"output path is a directory: {out_dir / name}")
+
+
 # --- segment ---------------------------------------------------------------
 
 
 def _prepare_segment(args) -> dict:
+    args.granularity = Granularity(args.granularity)
     _require_out(args.out)
     return {"docs": load_corpus(args.manifest)}
 
@@ -249,8 +246,7 @@ def _prepare_pool(args) -> dict:
     from .embed_store import read_normalized
     from .pooling import PoolingMethod
 
-    if args.method is None:
-        args.method = PoolingMethod.MP
+    args.method = PoolingMethod.from_string("MP" if args.method is None else args.method)
     _require_out(args.out)
     require_file(args.manifest, "manifest")
     require_file(args.embeddings, "embeddings file")
@@ -287,6 +283,7 @@ def _prepare_align_inputs(args) -> dict:
         args.k = MarginParams().k
     params = MarginParams(k=args.k, min_margin=args.min_margin)
     require_workers(args.workers)
+    _require_out_dir(args.out_dir)
     require_file(args.src_manifest, "source manifest")
     require_file(args.tgt_manifest, "target manifest")
     require_file(args.src_embeddings, "source embeddings file")
@@ -319,14 +316,14 @@ def _prepare_align_inputs(args) -> dict:
 
 def _prepare_align(args) -> dict:
     if args.mode == "dac":
-        from .dac import DEFAULT_THRESHOLD
+        from .dac import DEFAULT_THRESHOLD, require_threshold
 
         if args.method is not None:
             raise ValueError("--method is only valid with --mode pooled")
-        if args.granularity is None:
-            args.granularity = Granularity(1)
+        args.granularity = Granularity(1 if args.granularity is None else args.granularity)
         if args.threshold is None:
             args.threshold = DEFAULT_THRESHOLD
+        require_threshold(args.threshold)
     else:
         for given, name in [
             (args.granularity is not None, "--granularity"),
@@ -336,10 +333,17 @@ def _prepare_align(args) -> dict:
         ]:
             if given:
                 raise ValueError(f"{name} is only valid with --mode dac")
-        if args.method is None:
-            from .pooling import PoolingMethod
+        from .pooling import PoolingMethod
 
-            args.method = PoolingMethod.MP
+        args.method = PoolingMethod.from_string("MP" if args.method is None else args.method)
+    return _prepare_align_inputs(args)
+
+
+def _prepare_sweep(args) -> dict:
+    from .dac import require_thresholds
+
+    args.granularity = Granularity(args.granularity)
+    require_thresholds(args.thresholds)
     return _prepare_align_inputs(args)
 
 
@@ -375,8 +379,7 @@ def _write_run_config(args, command: str) -> Path:
     payload = json.dumps(config, indent=2, sort_keys=True)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every output of an earlier run: left in place, it would pass for this run's
-    for name in ("pairs.tsv", "report.tsv", "chunk_pairs.tsv", "reports.tsv", "reports.json"):
+    for name in _RUN_OUTPUTS:
         (out_dir / name).unlink(missing_ok=True)
     (out_dir / "config.json").write_text(payload + "\n", encoding="utf-8")
     return out_dir
@@ -473,7 +476,7 @@ _COMMANDS = {
     "import-embeddings": (_prepare_import, _run_import),
     "pool": (_prepare_pool, _run_pool),
     "align": (_prepare_align, _run_align),
-    "sweep": (_prepare_align_inputs, _run_sweep),
+    "sweep": (_prepare_sweep, _run_sweep),
     "evaluate": (_prepare_evaluate, _run_evaluate),
 }
 

@@ -53,15 +53,6 @@ class Granularity:
         if self.sentences < 1:
             raise ValueError(f"granularity must be >= 1, got {self.sentences}")
 
-    @classmethod
-    def from_string(cls, text: str) -> "Granularity":
-        """Parse a granularity given as a positive integer."""
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"granularity must be a positive integer, got {text!r}") from None
-        return cls(sentences=value)
-
     def __str__(self) -> str:
         return str(self.sentences)
 

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import require_file
+
 logger = logging.getLogger(__name__)
 
 MAGIC = b"DEMB"
@@ -178,8 +180,9 @@ def read_matrix(path: str | Path) -> EmbeddingMatrix:
     The file is read once, front to back.  Each id's size and the payload's
     are checked against the file's before they are allocated, and the rows
     are read straight into the matrix's one array.  The file's size comes
-    from the file system, so path names a regular file.
+    from the file system, so path must name a regular file.
     """
+    require_file(path, "embeddings file")
     path = Path(path)
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size

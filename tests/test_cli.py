@@ -120,11 +120,17 @@ class TestSegment:
         assert len(lines) == 28
 
     def test_zero_granularity_is_usage_error(self, tmp_path, aligned_setup, capsys):
-        for value in ("0", "doc"):
+        # the parser reads the integer; Granularity owns the rule that it is >= 1
+        for value, last_line in [
+            ("0", "chunkalign: invalid input: granularity must be >= 1, got 0"),
+            ("doc", "chunkalign segment: error: argument -g/--granularity: "
+                    "expected an integer, got 'doc'"),
+        ]:
             code = run_cli(["segment", "--manifest", str(aligned_setup["src_manifest"]),
                             "-g", value, "--out", str(tmp_path / "x.tsv")])
             assert code == 1
-        assert "positive integer, got 'doc'" in capsys.readouterr().err
+            assert capsys.readouterr().err.splitlines()[-1] == last_line
+        assert not (tmp_path / "x.tsv").exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["segment", "--manifest", str(tmp_path / "nope.jsonl"),
@@ -414,15 +420,21 @@ class TestNonFiniteOptions:
 
 
 class TestArgumentTypeErrors:
-    """A bad option value is invalid input, exit 1 before any output: the
-    parser names the option and the rule it breaks, and a value that only a
-    library rule rejects is told in that rule's own message."""
+    """A bad option value is invalid input, exit 1 before any output.  A value
+    that does not parse is a usage error naming the option; a value that
+    parses but breaks a rule is told in the message of the rule's library
+    owner."""
 
     @staticmethod
     def argv(paths, command, out):
         if command == "fetch-embeddings":
             return ["fetch-embeddings", "--units", str(paths["gold"]),
                     "--endpoint", "http://127.0.0.1:9/embed", "--out", str(out)]
+        if command == "pool":
+            return ["pool", "--manifest", str(paths["src_manifest"]),
+                    "--embeddings", str(paths["src_emb"]), "--out", str(out)]
+        if command == "pooled":
+            return align_argv(paths, out, "--mode", "pooled")
         argv = align_argv(paths, out)
         argv[0] = command
         if command == "sweep":
@@ -434,24 +446,27 @@ class TestArgumentTypeErrors:
         ("align", "-k", "x", "expected an integer, got 'x'"),
         ("align", "--workers", "1.5", "expected an integer, got '1.5'"),
         ("fetch-embeddings", "--batch-size", "x", "expected an integer, got 'x'"),
+        ("align", "-g", "x", "expected an integer, got 'x'"),
+        ("align", "--noise-seed", "x", "expected an integer, got 'x'"),
         ("align", "--threshold", "x", "expected a float, got 'x'"),
-        ("align", "--threshold", "1.5", "threshold 1.5 outside [0, 1]"),
-        ("align", "--threshold", "nan", "threshold nan outside [0, 1]"),
+        ("align", "--noise-ratio", "x", "expected a float, got 'x'"),
+        ("align", "--min-margin", "x", "expected a float, got 'x'"),
         ("sweep", "--thresholds", "", "empty threshold list"),
         ("sweep", "--thresholds", "0.1,x", "expected a comma-separated list of floats"),
-        ("sweep", "--thresholds", "0.5,0.1", "thresholds must be sorted ascending"),
-        ("sweep", "--thresholds", "0.5,1.5", "threshold 1.5 outside [0, 1]"),
-        # the order is checked before the range, as sweep_thresholds does
-        ("sweep", "--thresholds", "0.5,1.5,0.2", "thresholds must be sorted ascending"),
-        ("align", "--method", "foo",
-         "unknown pooling method 'foo' (choose from MP, LP, IDF, LIDF)"),
     ])
     def test_usage_error(self, aligned_setup, capsys, command, flag, value, message):
         out = aligned_setup["root"] / "out"
         assert run_cli([*self.argv(aligned_setup, command, out), flag, value]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(f"usage: chunkalign {command} ")
-        assert err[-1] == f"chunkalign {command}: error: argument {flag}: {message}"
+        named = "/".join(_option(command, flag).option_strings)
+        assert err[-1] == f"chunkalign {command}: error: argument {named}: {message}"
+        assert not out.exists()
+
+    def assert_invalid_input(self, paths, capsys, command, flag, value, message):
+        out = paths["root"] / "out"
+        assert run_cli([*self.argv(paths, command, out), flag, value]) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {message}\n"
         assert not out.exists()
 
     # the parser takes any integer; the library owns the rule that it is >= 1
@@ -464,10 +479,27 @@ class TestArgumentTypeErrors:
     ])
     def test_below_one_is_invalid_input(self, aligned_setup, capsys, command, flag, value,
                                         message):
-        out = aligned_setup["root"] / "out"
-        assert run_cli([*self.argv(aligned_setup, command, out), flag, value]) == 1
-        assert capsys.readouterr().err == f"chunkalign: invalid input: {message}\n"
-        assert not out.exists()
+        self.assert_invalid_input(aligned_setup, capsys, command, flag, value, message)
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("align", "-g", "0", "granularity must be >= 1, got 0"),
+        ("sweep", "-g", "0", "granularity must be >= 1, got 0"),
+        ("align", "--threshold", "1.5", "threshold 1.5 outside [0, 1]"),
+        ("align", "--threshold", "nan", "threshold nan outside [0, 1]"),
+        ("sweep", "--thresholds", "0.5,0.1", "thresholds must be sorted ascending"),
+        ("sweep", "--thresholds", "0.5,1.5", "threshold 1.5 outside [0, 1]"),
+        # the order is checked before the range, as sweep_thresholds does
+        ("sweep", "--thresholds", "0.5,1.5,0.2", "thresholds must be sorted ascending"),
+        ("pooled", "--method", "foo",
+         "unknown pooling method 'foo' (choose from MP, LP, IDF, LIDF)"),
+        ("pool", "--method", "foo",
+         "unknown pooling method 'foo' (choose from MP, LP, IDF, LIDF)"),
+        # -g 0 breaks two rules in pooled mode; the mode's is checked first
+        ("pooled", "-g", "0", "--granularity is only valid with --mode dac"),
+    ])
+    def test_violation_is_invalid_input(self, aligned_setup, capsys, command, flag, value,
+                                         message):
+        self.assert_invalid_input(aligned_setup, capsys, command, flag, value, message)
 
 
 def _option(command, flag):
@@ -521,8 +553,8 @@ class TestStatedDefaults:
         ("align", "--workers", _default_of(margin_scores, "workers")),
         ("sweep", "--workers", _default_of(mine_chunk_pairs, "workers")),
         ("align", "--min-margin", MarginParams().min_margin),
-        ("segment", "-g", Granularity()),
-        ("sweep", "-g", _default_of(mine_chunk_pairs, "granularity")),
+        ("segment", "-g", Granularity().sentences),
+        ("sweep", "-g", _default_of(mine_chunk_pairs, "granularity").sentences),
     ])
     def test_parser_literal(self, command, flag, owner):
         assert _option(command, flag).default == owner
@@ -730,6 +762,41 @@ class TestInputFaultsBeforeOutput:
         assert not missing.exists()
         assert list(directory.iterdir()) == []
         assert state["requests"] == 0
+
+    @staticmethod
+    def unusable_out_dir(root, fault):
+        """An --out-dir that align and sweep cannot use, and their message for it."""
+        runfile = root / "runfile"
+        runfile.write_text("kept\n", encoding="utf-8")
+        if fault == "file":
+            return runfile, f"output path is not a directory: {runfile}"
+        if fault == "under_file":
+            return runfile / "sub", f"output path is not a directory: {runfile}"
+        (root / "r2" / fault).mkdir(parents=True)
+        return root / "r2", f"output path is a directory: {root / 'r2' / fault}"
+
+    @pytest.mark.parametrize("fault", ["file", "under_file", "config.json", "pairs.tsv",
+                                       "report.tsv", "chunk_pairs.tsv", "reports.tsv",
+                                       "reports.json"])
+    @pytest.mark.parametrize("command", ["dac", "pooled", "sweep"])
+    def test_unusable_out_dir(self, aligned_setup, capsys, command, fault):
+        root = aligned_setup["root"]
+        out_dir, problem = self.unusable_out_dir(root, fault)
+        before = sorted(root.rglob("*"))
+        assert run_cli(TestNonFiniteOptions.argv(aligned_setup, command, out_dir)) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {problem}\n"
+        assert sorted(root.rglob("*")) == before
+        assert (root / "runfile").read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command", ["dac", "sweep"])
+    def test_unusable_out_dir_is_named_before_inputs_are_read(self, aligned_setup, capsys,
+                                                              command):
+        root = aligned_setup["root"]
+        aligned_setup["src_emb"].write_bytes(b"not an embedding matrix")
+        out_dir, problem = self.unusable_out_dir(root, "file")
+        assert run_cli(TestNonFiniteOptions.argv(aligned_setup, command, out_dir)) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {problem}\n"
+        assert (root / "runfile").read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("missing, named", [
         (("pairs", "gold"), "pairs"), (("pairs",), "pairs"), (("gold",), "gold"),
@@ -1290,6 +1357,11 @@ def _probe(code, *argv, cwd=None):
     return result.stdout.strip().splitlines()[-1]
 
 
+# the required inputs of align and sweep; a usage error never opens them
+_ALIGN_INPUTS = ["--src-manifest", "corpus/manifest.jsonl", "--tgt-manifest",
+                 "corpus/manifest.jsonl", "--src-embeddings", "e.demb", "--tgt-embeddings",
+                 "e.demb", "--out-dir", "out"]
+
 # runs the CLI on its arguments, then prints the exit code and which chunkalign
 # modules, and whether numpy, were imported
 _CLI_PROBE = """
@@ -1322,7 +1394,11 @@ class TestStartup:
         (["segment", "--manifest", "corpus/manifest.jsonl", "--out", "units.tsv"], 0),
         (["--help"], 0),
         (["pool", "--manifest", "corpus/manifest.jsonl"], 1),
-    ], ids=["segment", "help", "usage_error"])
+        # the types read syntax only: no rule's module is loaded to parse a value
+        (["align", *_ALIGN_INPUTS, "--threshold", "x"], 1),
+        (["sweep", *_ALIGN_INPUTS, "--gold", "gold.tsv", "--thresholds", "0.1,x"], 1),
+    ], ids=["segment", "help", "usage_error", "threshold_usage_error",
+            "thresholds_usage_error"])
     def test_command_leaves_numpy_out(self, tmp_path, argv, code):
         write_corpus(tmp_path, [Document("a", "en", ("One.", "Two.")),
                                 Document("b", "en", ("Three.",))], "corpus")

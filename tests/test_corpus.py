@@ -129,19 +129,14 @@ class TestLoadCorpus:
 
 
 class TestGranularity:
-    def test_from_string(self):
-        assert Granularity.from_string("4").sentences == 4
-        assert str(Granularity.from_string(" 3 ")) == "3"
+    def test_constructor(self):
+        assert Granularity(4).sentences == 4
+        assert str(Granularity(3)) == "3"
 
     def test_invalid_values(self):
-        with pytest.raises(ValueError):
-            Granularity.from_string("0")
-        with pytest.raises(ValueError):
-            Granularity.from_string("two")
-        with pytest.raises(ValueError, match="positive integer, got 'doc'"):
-            Granularity.from_string("doc")
-        with pytest.raises(ValueError):
-            Granularity(-1)
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"^granularity must be >= 1, got {value}$"):
+                Granularity(value)
 
 
 class TestSegment:

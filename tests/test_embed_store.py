@@ -1,7 +1,10 @@
 import base64
 import logging
+import os
 import socket
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -147,6 +150,22 @@ class TestMatrixFile:
             assert back.ids == ids
             assert back.data.dtype == np.float32
             assert back.data.tobytes() == data.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+    def test_fifo_is_rejected_without_blocking(self, tmp_path):
+        # opening a FIFO blocks until a writer comes; run the read in a child
+        # process so that a read that blocks fails the test rather than hangs it
+        fifo = tmp_path / "fifo.demb"
+        os.mkfifo(fifo)
+        probe = ("import sys, chunkalign\n"
+                 "try:\n"
+                 "    chunkalign.read_matrix(sys.argv[1])\n"
+                 "except FileNotFoundError as exc:\n"
+                 "    print(exc)\n")
+        src = str(Path(embed_store.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", probe, str(fifo)], capture_output=True,
+                                text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout == f"embeddings file not found: {fifo}\n"
 
     def test_unicode_ids_survive(self, tmp_path):
         ids = ["déjà#0", "日本語#1"]
