@@ -112,12 +112,16 @@ def margin_scores(
     tgt = np.concatenate([fwd_rows.ravel(), new // bwd_rows.shape[1]])
     cosines = np.concatenate([fwd_scores.ravel(), bwd_scores.ravel()[new]])
 
-    denominators = 0.5 * (avg_src[src] + avg_tgt[tgt])
+    # the bits of 0.5 * (avg_src[src] + avg_tgt[tgt]) without its
+    # temporaries; the margins then take the same array
+    denominators = avg_src[src]
+    denominators += avg_tgt[tgt]
+    denominators *= 0.5
     kept = denominators != 0.0
     scored = int(np.count_nonzero(kept))
     # a zero denominator gives an inf or nan margin, which kept already drops
     with np.errstate(divide="ignore", invalid="ignore"):
-        margins = cosines / denominators
+        margins = np.divide(cosines, denominators, out=denominators)
         if params.min_margin is not None:
             kept &= margins >= params.min_margin
     survivors = int(np.count_nonzero(kept))

@@ -9,8 +9,9 @@ read_matrix_reference keeps the whole-file reader that the file-level one
 replaced, and load_corpus_reference, read_units_tsv_reference,
 read_vectors_reference, load_gold_reference and load_pairs_reference the
 text-mode readers that the one byte reader replaced; pooled_reference
-composes the stage oracles into the whole pooled path.  They also hold the
-conversions between the miner's array candidates and plain
+composes the stage oracles into the whole pooled path, and
+inject_noise_reference samples noise documents from its definition.  They
+also hold the conversions between the miner's array candidates and plain
 (src_id, tgt_id, cosine, margin) tuples.
 """
 
@@ -437,3 +438,26 @@ def pooled_reference(src_docs, tgt_docs, src_embeddings, tgt_embeddings, method,
     if min_margin is not None:
         pairs = [pair for pair in pairs if pair.margin >= min_margin]
     return pairs
+
+
+def inject_noise_reference(alignable, noise_pool, config):
+    """evaluation.inject_noise from its definition: the alignable documents
+    in order, then the pool documents at
+    Generator(PCG64(seed)).choice(len(pool), size=floor(ratio * n),
+    replace=False), the product taken in float arithmetic.
+
+    Raises ValueError for a pool id that repeats, for a pool id that the
+    corpus holds and for a pool smaller than the count, in that order; each
+    message is the leading words of the library's.
+    """
+    pool_ids = Counter(doc.doc_id for doc in noise_pool)
+    if any(count > 1 for count in pool_ids.values()):
+        raise ValueError("noise pool contains duplicate doc ids")
+    if any(doc.doc_id in pool_ids for doc in alignable):
+        raise ValueError("noise pool shares doc ids with the corpus")
+    product = config.ratio * len(alignable)
+    if not math.isfinite(product) or math.floor(product) > len(noise_pool):
+        raise ValueError(f"noise pool has {len(noise_pool)} docs but")
+    generator = np.random.Generator(np.random.PCG64(config.seed))
+    chosen = generator.choice(len(noise_pool), size=math.floor(product), replace=False)
+    return list(alignable) + [noise_pool[i] for i in chosen]

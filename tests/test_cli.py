@@ -20,13 +20,13 @@ from chunkalign.corpus import Document, Granularity, load_corpus
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import (EmbeddingMatrix, fetch_vectors, normalize, read_matrix,
                                     write_matrix)
-from chunkalign.evaluation import NoiseConfig
+from chunkalign.evaluation import NoiseConfig, derive_side_seeds
 from chunkalign.miner import MarginParams, margin_scores, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
 from conftest import vector_for_text
-from oracles import (dac_reference, load_corpus_reference, pooled_reference,
-                     pooled_vectors_reference, read_matrix_reference)
+from oracles import (dac_reference, inject_noise_reference, load_corpus_reference,
+                     pooled_reference, pooled_vectors_reference, read_matrix_reference)
 from synth import planted_corpus
 
 
@@ -1132,6 +1132,35 @@ class TestOutputsMatchReference:
         assert (out_dir / "pairs.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
         # only --keep-all keeps a document in more than one pair, as it does here
         assert (len({s.src_doc for s in selected}) < len(selected)) == keep_all
+
+    def test_align_pairs_with_noise_pools(self, signed_setup):
+        # each side's noise documents come from a pool manifest of their own;
+        # the reference mixes each side with inject_noise_reference at the
+        # side seed that derive_side_seeds splits from --noise-seed
+        paths, _, _, _ = signed_setup
+        root = paths["root"]
+        embeddings = [read_matrix_reference(paths[f"{side}_emb"]) for side in ("src", "tgt")]
+        noisy, extra, mixed = dict(paths), [], []
+        for side, seed in zip(("src", "tgt"), derive_side_seeds(9)):
+            docs = load_corpus_reference(paths[f"{side}_manifest"])
+            alignable = [doc for doc in docs if "noise" not in doc.doc_id]
+            pool = [doc for doc in docs if "noise" in doc.doc_id]
+            noisy[f"{side}_manifest"] = write_corpus(root, alignable, f"{side}-clean")
+            extra += [f"--noise-{side}-manifest", str(write_corpus(root, pool, f"{side}-pool"))]
+            mixed.append(inject_noise_reference(alignable, pool,
+                                                NoiseConfig(ratio=0.375, seed=seed)))
+            # 3 of the 4 pool documents, so the sample decides which
+            assert len(mixed[-1]) == len(alignable) + 3
+        out_dir = root / "noisy"
+        assert run_cli(align_argv(noisy, out_dir, "-k", "4", "--threshold", "0.3", *extra,
+                                  "--noise-ratio", "0.375", "--noise-seed", "9")) == 0
+        selected = dac_reference(*mixed, *embeddings, 1, 4, 0.3)[2]
+        rows = ["# src_doc\ttgt_doc\tn_src\tn_tgt\tn_aligned\tdac"]
+        rows += [f"{s.src_doc}\t{s.tgt_doc}\t{s.n_src}\t{s.n_tgt}\t{s.n_aligned}\t{s.dac:.6f}"
+                 for s in selected]
+        assert (out_dir / "pairs.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        # a sampled noise document takes part in a selected pair
+        assert any("noise" in s.src_doc or "noise" in s.tgt_doc for s in selected)
 
     def test_pool_command_vectors(self, signed_setup):
         paths = signed_setup[0]

@@ -1,10 +1,11 @@
 import io
 import json
+import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkalign.dac import DocPairScore, select_pairs
@@ -22,6 +23,7 @@ from chunkalign.evaluation import (
     write_reports_json,
     write_reports_tsv,
 )
+from oracles import inject_noise_reference
 from synth import make_doc
 
 
@@ -144,6 +146,10 @@ class TestNoiseInjection:
         alignable = self.make_pool(5, prefix="a")
         mixed = inject_noise(alignable, self.make_pool(10), NoiseConfig(ratio=0.5, seed=0))
         assert len(mixed) == 5 + 2  # floor(2.5)
+        # the float product 0.29 * 100 is 28.999999999999996
+        mixed = inject_noise(self.make_pool(100, prefix="a"), self.make_pool(28),
+                             NoiseConfig(ratio=0.29, seed=0))
+        assert len(mixed) == 128
 
     def test_zero_ratio(self):
         alignable = self.make_pool(4, prefix="a")
@@ -215,6 +221,44 @@ class TestNoiseInjection:
     def test_non_finite_ratio_rejected(self, value):
         with pytest.raises(ValueError, match=f"^noise ratio must be finite, got {value}$"):
             NoiseConfig(ratio=value)
+
+
+@st.composite
+def noise_cases(draw):
+    """(corpus size, ratio, pool size, pool fault, seed): ratios include
+    decimals whose float product floors below the decimal one (0.29 x 100 is
+    28.999999999999996), and pools are a doc short of the count, exactly
+    large enough, or larger."""
+    n = draw(st.integers(0, 120))
+    ratio = draw(st.one_of(st.sampled_from([0.0, 0.07, 0.1, 0.29, 0.3, 0.57, 0.58, 1.13, 2.0]),
+                           st.floats(0, 3)))
+    pool_size = max(0, math.floor(ratio * n) + draw(st.sampled_from([-1, 0, 1, 7])))
+    fault = draw(st.sampled_from([None, None, "duplicate", "shared"]))
+    return n, ratio, pool_size, fault, draw(st.integers(0, 2**64 - 1))
+
+
+class TestNoiseInjectionReference:
+    @settings(max_examples=200, deadline=None)
+    @given(noise_cases())
+    @example((100, 0.29, 28, None, 5))
+    @example((100, 0.29, 27, None, 5))
+    def test_matches_definitional_sampler(self, case):
+        n, ratio, pool_size, fault, seed = case
+        alignable = [make_doc(f"a{i}", "xx", 1) for i in range(n)]
+        pool = [make_doc(f"n{i}", "xx", 1) for i in range(pool_size)]
+        if fault == "duplicate":
+            pool += [make_doc("dup", "xx", 1)] * 2
+        elif fault == "shared" and alignable:
+            pool.append(alignable[-1])
+        config = NoiseConfig(ratio=ratio, seed=seed)
+        try:
+            expected = inject_noise_reference(alignable, pool, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                inject_noise(alignable, pool, config)
+            assert str(raised.value).startswith(str(exc))
+        else:
+            assert inject_noise(alignable, pool, config) == expected
 
 
 class TestDeriveSideSeeds:

@@ -139,9 +139,9 @@ class TestSearchArrays:
                 np.testing.assert_allclose(scores, ref_scores, atol=1e-12)
 
     def test_default_tile_bounds_score_memory(self):
-        # each worker holds a tile's float64 scores and np.partition's copy,
-        # 2 x 8 x 128 x 2000 bytes at the default tile: 8 MB for two workers
-        # (35 MB with 512-row tiles)
+        # each worker holds a tile's float64 scores and top_k's float32 copy,
+        # 2 x 12 x 128 x 2000 bytes at the default tile: about 6.1 MB for two
+        # workers; a float64 copy would put the peak above 9 MiB
         rng = np.random.default_rng(5)
         index = build(unit_matrix([str(i) for i in range(2000)], random_unit_matrix(rng, 2000, 32)))
         queries = random_unit_matrix(rng, 2000, 32)
@@ -151,7 +151,57 @@ class TestSearchArrays:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 9 * 2**20
+
+    def test_margin_scores_bounds_memory(self):
+        # the search's buffers and outputs, then the candidate union at
+        # k = 64: a new array for each step of the margin arithmetic would
+        # put the peak above 12 MiB
+        rng = np.random.default_rng(5)
+        y = unit_matrix([str(i) for i in range(2000)], random_unit_matrix(rng, 2000, 32))
+        x = unit_matrix([str(i) for i in range(2000)], random_unit_matrix(rng, 2000, 32))
+        tracemalloc.start()
+        try:
+            margin_scores(x, y, MarginParams(k=64), workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_buffers_follow_tiles_not_workers(self):
+        # one tile per direction, so one scores buffer and one scratch,
+        # whatever the thread count
+        rng = np.random.default_rng(8)
+        index = build(unit_matrix([str(i) for i in range(120)], random_unit_matrix(rng, 120, 8)))
+        queries = random_unit_matrix(rng, 100, 8)
+        peaks = []
+        for workers in (1, 8):
+            tracemalloc.start()
+            try:
+                search_arrays(index, queries, k=4, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a second buffer pair would take 12 x 100 x 120 bytes more
+        assert peaks[1] < peaks[0] + 12 * 100 * 120 // 2
+
+    def test_unequal_sides_wider_than_a_tile(self):
+        # at the default tile both directions share buffers sized for the
+        # wider one, 128 x 300, and take views of 128 x 170 and 128 x 300
+        rng = np.random.default_rng(21)
+        index = build(unit_matrix([str(i) for i in range(170)], random_unit_matrix(rng, 170, 16)))
+        queries = random_unit_matrix(rng, 300, 16)
+        reference = search_arrays(index, queries, k=9, workers=1)
+        for scores, rows in reference:
+            assert rows.dtype == np.int32
+        for workers in (2, 5):
+            result = search_arrays(index, queries, k=9, workers=workers)
+            for (scores, rows), (ref_scores, ref_rows) in zip(result, reference):
+                assert rows.tobytes() == ref_rows.tobytes()
+                assert scores.tobytes() == ref_scores.tobytes()
+        (_, rows), (_, back_rows) = reference
+        np.testing.assert_array_equal(rows, brute_force_topk(index.data, queries, 9)[1])
+        np.testing.assert_array_equal(back_rows, brute_force_topk(queries, index.data, 9)[1])
 
     def test_dim_mismatch(self):
         x = unit_matrix(["a"], [[1.0, 0.0, 0.0]])
@@ -178,20 +228,60 @@ class TestSearchArrays:
 class TestTopK:
     def test_ties_break_by_column(self):
         scores = np.array([[0.5, 0.9, 0.5, 0.9, 0.5]])
-        values, cols = top_k(scores, 3, np.empty(scores.shape))
+        values, cols = top_k(scores, 3, np.empty(scores.shape, dtype=np.float32))
         np.testing.assert_array_equal(cols, [[1, 3, 0]])
         np.testing.assert_array_equal(values, [[0.9, 0.9, 0.5]])
 
     def test_full_depth_is_a_sort(self):
         scores = np.array([[0.1, -0.3, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0]])
-        _, cols = top_k(scores, 4, np.empty(scores.shape))
+        _, cols = top_k(scores, 4, np.empty(scores.shape, dtype=np.float32))
         np.testing.assert_array_equal(cols, [[2, 0, 3, 1], [0, 1, 2, 3]])
 
     def test_transposed_view(self):
         scores = np.array([[0.3, 0.1], [0.3, 0.4], [0.2, 0.4]])
-        values, rows = top_k(scores.T, 2, np.empty(scores.T.shape))
+        values, rows = top_k(scores.T, 2, np.empty(scores.T.shape, dtype=np.float32))
         np.testing.assert_array_equal(rows, [[0, 1], [1, 2]])
         np.testing.assert_array_equal(values, [[0.3, 0.3], [0.4, 0.4]])
+
+
+@st.composite
+def float32_tie_tiles(draw):
+    """A (rows, width) float64 tile, possibly a transposed view, built from a
+    few float32 values: each entry is one of them, one of them moved by less
+    than half a float32 ulp (so it rounds back to it), or exactly at a
+    float32 midpoint next to one of them."""
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(1, 300))
+    values = np.array(draw(st.lists(st.floats(-1, 1, width=32), min_size=1, max_size=4)),
+                      dtype=np.float32)
+    up = np.nextafter(values, np.float32(np.inf)).astype(np.float64) - values
+    down = values - np.nextafter(values, np.float32(-np.inf)).astype(np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(len(values), size=(rows, width))
+    kind = rng.integers(5, size=(rows, width))
+    fraction = rng.choice([0.1, 0.5, 0.9, 0.999], size=(rows, width))
+    tile = values[pick].astype(np.float64)
+    tile += np.select([kind == 1, kind == 2, kind == 3, kind == 4],
+                      [fraction * up[pick] / 2, -fraction * down[pick] / 2,
+                       up[pick] / 2, -down[pick] / 2])
+    if draw(st.booleans()):
+        tile = np.ascontiguousarray(tile.T).T
+    return tile
+
+
+class TestTopKProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(float32_tie_tiles())
+    def test_matches_definitional_sort(self, tile):
+        # every depth against the definition: the first `depth` columns of
+        # the row sorted by (-score, column)
+        count, width = tile.shape
+        expected = [np.lexsort((np.arange(width), -row)) for row in tile]
+        scratch = np.empty(tile.shape, dtype=np.float32)
+        for depth in range(1, width + 1):
+            values, cols = top_k(tile, depth, scratch)
+            for row, order, row_values, row_cols in zip(tile, expected, values, cols):
+                np.testing.assert_array_equal(row_cols, order[:depth])
+                np.testing.assert_array_equal(row_values, row[order[:depth]])
 
 
 class TestSearchProperties:

@@ -116,9 +116,10 @@ class TestMarginScores:
         assert np.all(np.isfinite(candidates.margins))
 
     def test_no_masked_copies_without_zero_denominators(self):
-        # the search outputs take about 32 bytes per candidate and the union
-        # five arrays of 8; masked copies of four of those add 32 more, which
-        # put the peak at about 96 bytes per candidate
+        # the search outputs (float64 scores, int32 rows) take about 24 bytes
+        # per candidate and the union four arrays of 8 and one temporary;
+        # masked copies of four of those add 32 more, which put the peak at
+        # about 96 bytes per candidate
         rng = np.random.default_rng(5)
         x = unit_matrix([f"s{i}" for i in range(1000)], random_unit_matrix(rng, 1000, 16))
         y = unit_matrix([f"t{j}" for j in range(1000)], random_unit_matrix(rng, 1000, 16))
