@@ -300,7 +300,7 @@ def _prepare_align_inputs(args) -> dict:
                                 for seed in derive_side_seeds(args.noise_seed))
     src_docs = _load_side(args.src_manifest, args.noise_src_manifest, src_noise)
     tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
-    gold = None if getattr(args, "gold", None) is None else load_gold(args.gold)
+    gold = None if args.gold is None else load_gold(args.gold)
     src_matrix = read_normalized(args.src_embeddings)
     tgt_matrix = read_normalized(args.tgt_embeddings)
     require_same_dim(src_matrix, tgt_matrix)
@@ -363,7 +363,7 @@ def _write_run_config(args, command: str) -> Path:
         "tgt_embeddings": args.tgt_embeddings,
         "noise_src_manifest": args.noise_src_manifest,
         "noise_tgt_manifest": args.noise_tgt_manifest,
-        "gold": getattr(args, "gold", None),
+        "gold": args.gold,
         "out_dir": args.out_dir,
         "granularity": None if args.granularity is None else str(args.granularity),
         "method": None if method is None else method.name,

@@ -48,11 +48,7 @@ class EmbeddingMatrix:
         self.ids = list(self.ids)
         if len(self.ids) != self.data.shape[0]:
             raise ValueError(f"{len(self.ids)} ids for {self.data.shape[0]} rows")
-        self._row_by_id: dict[str, int] = {}
-        for row, unit_id in enumerate(self.ids):
-            if unit_id in self._row_by_id:
-                raise ValueError(f"duplicate id {unit_id!r}")
-            self._row_by_id[unit_id] = row
+        self._row_by_id = _row_table(self.ids)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -81,6 +77,15 @@ class EmbeddingMatrix:
             return self
         rows = [self.row_of(unit_id) for unit_id in ids]
         return EmbeddingMatrix(ids=ids, data=self.data[rows])
+
+
+def _row_table(ids: Sequence[str]) -> dict[str, int]:
+    """Row of each id; an id given twice is an error naming it."""
+    row_by_id: dict[str, int] = {}
+    for row, unit_id in enumerate(ids):
+        if row_by_id.setdefault(unit_id, row) != row:
+            raise ValueError(f"duplicate id {unit_id!r}")
+    return row_by_id
 
 
 def normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -119,22 +124,18 @@ def _normalize_rows(ids: Sequence[str], rows: np.ndarray, out: np.ndarray) -> No
         raise ValueError(f"zero-norm embedding for id {ids[first_zero]!r}")
 
 
-def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str) -> EmbeddingMatrix:
+def matrix_from_vectors(ids: Sequence[str], vectors: Sequence, source: str,
+                        width: int | None = None) -> EmbeddingMatrix:
     """Normalized matrix with one row per id from plain vectors (lists of numbers).
 
-    A vector that is not a list of ints and floats (JSON true and false are
-    not numbers) or one holding a finite value beyond the float32 range is an
-    error naming its id, and vectors of differing lengths one naming their
-    source; normalize rejects non-finite and zero rows.
+    Checked in order: a vector not a list of ints and floats (JSON true and
+    false are not numbers) is an error naming its id, vectors not all `width`
+    long (by default, the first's length) one naming their source, and a
+    finite value beyond float32 one naming its id.  The rows are wrapped in an
+    EmbeddingMatrix before normalize, so length-0 vectors fail as such and not
+    as zero rows; it also rejects duplicate ids, which fetch_vectors checks
+    before its first request.  normalize rejects non-finite and zero rows.
     """
-    return normalize(EmbeddingMatrix(ids=list(ids), data=_float32_rows(ids, vectors, source)))
-
-
-def _float32_rows(ids: Sequence[str], vectors: Sequence, source: str,
-                  width: int | None = None) -> np.ndarray:
-    """float32 rows of one block of plain vectors, one per id, after
-    matrix_from_vectors' checks of type, width and float32 range, in that
-    order; the width is `width` or else the first vector's length."""
     for unit_id, vector in zip(ids, vectors):
         if type(vector) is not list or not set(map(type, vector)) <= _NUMBER_TYPES:
             raise ValueError(f"{source} vector for id {unit_id!r} is not a list of numbers")
@@ -153,7 +154,7 @@ def _float32_rows(ids: Sequence[str], vectors: Sequence, source: str,
             raise ValueError(
                 f"{source} vector for id {ids[row]!r} has a value outside the float32 range"
             )
-    return block
+    return normalize(EmbeddingMatrix(ids=list(ids), data=block))
 
 
 def write_matrix(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -240,10 +241,10 @@ def fetch_vectors(ids: Sequence[str], texts: Sequence[str], endpoint: str,
                   batch_size: int = 32) -> EmbeddingMatrix:
     """Fetch embeddings for texts from the HTTP service, rows in input order.
 
-    Each distinct text is sent once (service.fetch_batches), and a repeated
-    text gets a copy of its first row: the service is assumed to embed a text
-    alike in any batch.  Each reply's rows get matrix_from_vectors' checks and
-    normalize as the reply arrives; a fault names the first id of its text.
+    Duplicate ids fail before the first request.  Each distinct text is sent
+    once (service.fetch_batches), and a repeated text gets a copy of its first
+    row: the service is assumed to embed a text alike in any batch.  Each reply
+    goes through matrix_from_vectors on arrival; a fault names its text's first id.
     """
     # fetching alone talks HTTP: the client's imports stay out of every other command
     from . import service
@@ -253,25 +254,23 @@ def fetch_vectors(ids: Sequence[str], texts: Sequence[str], endpoint: str,
     if not ids:
         raise ValueError("nothing to embed")
     service.require_batch_size(batch_size)
-    row_of_text: dict[str, int] = {}
-    first_ids: list[str] = []
-    inverse: list[int] = []
+    _row_table(ids)
+    first_id_of_text: dict[str, str] = {}
     for unit_id, text in zip(ids, texts):
-        row = row_of_text.setdefault(text, len(first_ids))
-        if row == len(first_ids):
-            first_ids.append(unit_id)
-        inverse.append(row)
-    distinct = list(row_of_text)
+        first_id_of_text.setdefault(text, unit_id)
+    distinct, first_ids = list(first_id_of_text), list(first_id_of_text.values())
+    row_of_text = {text: row for row, text in enumerate(distinct)}
+    inverse = [row_of_text[text] for text in texts]
 
     blocks: list[np.ndarray] = []
-    requests_sent = 0
+    requests_sent = done = 0
     with closing(service.fetch_batches(distinct, endpoint, batch_size)) as replies:
-        for start, (vectors, tries) in zip(range(0, len(distinct), batch_size), replies):
+        for vectors, tries in replies:
             requests_sent += tries
-            batch_ids = first_ids[start:start + batch_size]
-            rows = _float32_rows(batch_ids, vectors, "embedding service",
-                                 blocks[0].shape[1] if blocks else None)
-            blocks.append(normalize(EmbeddingMatrix(ids=batch_ids, data=rows)).data)
+            blocks.append(matrix_from_vectors(first_ids[done:done + len(vectors)], vectors,
+                                              "embedding service",
+                                              blocks[0].shape[1] if blocks else None).data)
+            done += len(vectors)
     logger.debug("fetch funnel: %d texts, %d distinct, %d requests, %d retries",
                  len(texts), len(distinct), requests_sent, requests_sent - len(blocks))
     return EmbeddingMatrix(ids=list(ids), data=np.concatenate(blocks)[inverse])

@@ -1561,6 +1561,18 @@ class TestImportCommand:
         assert "imported vector for id 'a#1' is not a list of numbers" in capsys.readouterr().err
         assert not (tmp_path / "m.demb").exists()
 
+    def test_zero_width_vectors_usage_error(self, tmp_path, capsys):
+        units, vec_path = self.write_inputs(tmp_path, [
+            {"unit_id": "a#0", "vector": []},
+            {"unit_id": "a#1", "vector": []},
+        ])
+        code = run_cli(["import-embeddings", "--units", str(units),
+                        "--vectors", str(vec_path), "--out", str(tmp_path / "m.demb")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "chunkalign: invalid input: embedding dimension must be >= 1\n")
+        assert not (tmp_path / "m.demb").exists()
+
     def test_nan_vector_runtime_error(self, tmp_path, capsys):
         units, vec_path = self.write_inputs(tmp_path, [
             {"unit_id": "a#0", "vector": [1.0, 0.0]},

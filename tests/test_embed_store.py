@@ -510,10 +510,13 @@ class TestFetchDedupe:
             fetch_vectors(["a#0", "b#2", "c#5", "d#1"], ["fine", "bad", "other", "bad"],
                           url, batch_size=1)
 
-    def test_duplicate_ids_rejected(self, embed_server):
-        url, _ = embed_server
+    @pytest.mark.parametrize("texts", [["same", "same"], ["one", "two"]],
+                             ids=["equal", "distinct"])
+    def test_duplicate_ids_rejected(self, embed_server, texts):
+        url, state = embed_server
         with pytest.raises(ValueError, match="duplicate id 'a#0'"):
-            fetch_vectors(["a#0", "a#0"], ["same", "same"], url)
+            fetch_vectors(["a#0", "a#0"], texts, url)
+        assert state["requests"] == 0
 
     def test_funnel_line_counts_retries(self, quick_retries, embed_server, caplog):
         url, state = embed_server
@@ -605,7 +608,9 @@ class TestFetchSendAhead:
         ({"raw_vectors": {"t1": [1.0] * 7}}, "vectors have differing dimensions"),
         ({"nan_text": "t0"}, "non-finite embedding for id 'u#0'"),
         ({"zero_text": "t1"}, "zero-norm embedding for id 'u#1'"),
-    ], ids=["count", "not_json", "ragged", "nan", "zero"])
+        # wrapped before normalize: a width of 0 is not taken for zero rows
+        ({"raw_vectors": {"t0": [], "t1": []}}, "embedding dimension must be >= 1"),
+    ], ids=["count", "not_json", "ragged", "nan", "zero", "zero_width"])
     def test_first_bad_reply_stops_sending(self, keepalive_embed_server, fault, problem):
         url, state = keepalive_embed_server
         state.update(fault)
