@@ -186,12 +186,12 @@ def _prepare_fetch(args) -> dict:
     from .service import require_batch_size, route
 
     require_batch_size(args.batch_size)
-    _require_out(args.out)
-    require_file(args.units, "units file")
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise ValueError(f"no embedding endpoint: pass --endpoint or set ${ENDPOINT_ENV}")
-    route(endpoint)  # a bad endpoint or proxy is invalid input, found before any read
+    route(endpoint)  # a bad endpoint or proxy is invalid input, found before any path
+    _require_out(args.out)
+    require_file(args.units, "units file")
     return {"units": read_units_tsv(args.units), "endpoint": endpoint}
 
 
@@ -276,13 +276,15 @@ def _load_side(manifest: str, noise_manifest: str | None, noise):
 
 def _prepare_align_inputs(args) -> dict:
     from .embed_store import read_normalized
-    from .evaluation import NoiseConfig, derive_side_seeds, load_gold
+    from .evaluation import NoiseConfig, load_gold
     from .miner import MarginParams, require_same_dim, require_workers
 
     if args.k is None:
         args.k = MarginParams().k
     params = MarginParams(k=args.k, min_margin=args.min_margin)
     require_workers(args.workers)
+    # checked even when no noise manifest uses it
+    noise = NoiseConfig(ratio=args.noise_ratio, seed=args.noise_seed)
     _require_out_dir(args.out_dir)
     require_file(args.src_manifest, "source manifest")
     require_file(args.tgt_manifest, "target manifest")
@@ -292,12 +294,9 @@ def _prepare_align_inputs(args) -> dict:
         require_file(args.noise_src_manifest, "source noise manifest")
     if args.noise_tgt_manifest is not None:
         require_file(args.noise_tgt_manifest, "target noise manifest")
-    # NoiseConfig checks the ratio and the seed even when no noise manifest
-    # uses them; only a noise manifest pays for numpy's RNG to split the seed
-    src_noise = tgt_noise = NoiseConfig(ratio=args.noise_ratio, seed=args.noise_seed)
-    if args.noise_src_manifest is not None or args.noise_tgt_manifest is not None:
-        src_noise, tgt_noise = (NoiseConfig(ratio=args.noise_ratio, seed=seed)
-                                for seed in derive_side_seeds(args.noise_seed))
+    # only a noise manifest pays for numpy's RNG to split the seed
+    noisy = args.noise_src_manifest is not None or args.noise_tgt_manifest is not None
+    src_noise, tgt_noise = noise.per_side() if noisy else (noise, noise)
     src_docs = _load_side(args.src_manifest, args.noise_src_manifest, src_noise)
     tgt_docs = _load_side(args.tgt_manifest, args.noise_tgt_manifest, tgt_noise)
     gold = None if args.gold is None else load_gold(args.gold)

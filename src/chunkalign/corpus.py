@@ -83,7 +83,8 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     lines are numbered as in text mode.  A byte that does not decode is a
     fault of its line, raised after the lines before it as an error naming
     `what`, the path and the byte's offset.  The file is decoded in blocks
-    cut after an LF, a byte no UTF-8 character holds: memory stays flat.
+    cut after an LF or a CR, bytes that no multi-byte UTF-8 character holds:
+    memory stays flat.
     """
     require_file(path, what)
     with open(path, "rb", buffering=0) as handle:
@@ -92,10 +93,13 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
         while True:
             block = handle.read(_BLOCK)
             pending += block
-            # the lines read whole, up to the last LF; at the end, which a regular
+            # the lines read whole, up to the last LF or the last CR with a byte
+            # after it (a final CR may begin a CRLF); at the end, which a regular
             # file (require_file) marks with a short read, all that is left
             last = len(block) < _BLOCK
-            end = len(pending) if last else pending.rfind(b"\n", len(pending) - len(block)) + 1
+            fresh = max(len(pending) - len(block) - 1, 0)
+            end = len(pending) if last else max(pending.rfind(b"\n", fresh),
+                                                 pending.rfind(b"\r", fresh, -1)) + 1
             bom = len(codecs.BOM_UTF8) if not start and pending.startswith(codecs.BOM_UTF8) else 0
             try:
                 text = pending[bom:end].decode("utf-8")

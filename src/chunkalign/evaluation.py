@@ -120,12 +120,14 @@ class NoiseConfig:
             raise ValueError(f"noise ratio must be finite, got {self.ratio}")
         if self.ratio < 0:
             raise ValueError(f"noise ratio must be >= 0, got {self.ratio}")
-        _require_seed(self.seed)
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
-
-def _require_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"noise seed must be >= 0, got {seed}")
+    def per_side(self) -> tuple["NoiseConfig", "NoiseConfig"]:
+        """(source, target) configs at this ratio, with independent seeds split from this seed."""
+        src, tgt = (NoiseConfig(self.ratio, int(seed))
+                    for seed in np.random.SeedSequence(self.seed).generate_state(2, np.uint64))
+        return src, tgt
 
 
 def inject_noise(
@@ -159,12 +161,6 @@ def inject_noise(
         chosen = rng.choice(len(noise_pool), size=needed, replace=False)
         mixed.extend(noise_pool[int(i)] for i in chosen)
     return mixed
-
-
-def derive_side_seeds(seed: int) -> list[int]:
-    """Independent source and target seeds split from one run seed."""
-    _require_seed(seed)
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64)]
 
 
 def sweep_thresholds(

@@ -37,11 +37,11 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        if state["bad_body"]:
+        if state["body"] is not None:
             self.send_response(200)
-            self.send_header("Content-Length", "9")
+            self.send_header("Content-Length", str(len(state["body"])))
             self.end_headers()
-            self.wfile.write(b"<html/>\n\n")
+            self.wfile.write(state["body"])
             return
         texts = json.loads(body)["texts"]
         state["texts"].update(texts)
@@ -103,13 +103,14 @@ def _serve(handler):
     # requests and connections: how many the server got; seen: (method,
     # target, headers) of each request, CONNECT included; texts: a Counter of
     # every text it was sent; fail_remaining: answer that many requests with
-    # fail_status and no body (a 3xx points back at /embed); bad_body: answer 200 with a body that is not
-    # JSON; nan_text, zero_text and short_text: answer that text with a NaN,
-    # zero or 7-dimensional vector; raw_vectors: answer each text it maps with
-    # the value it maps it to; close_idle (keep-alive server only): close each
+    # fail_status and no body (a 3xx points back at /embed); body: answer 200
+    # with these bytes in place of a reply built from the texts; nan_text,
+    # zero_text and short_text: answer that text with a NaN, zero or
+    # 7-dimensional vector; raw_vectors: answer each text it maps with the
+    # value it maps it to; close_idle (keep-alive server only): close each
     # connection after its reply
     server.state = {"requests": 0, "connections": 0, "seen": [], "texts": collections.Counter(),
-                    "fail_remaining": 0, "fail_status": 500, "bad_body": False,
+                    "fail_remaining": 0, "fail_status": 500, "body": None,
                     "close_idle": False}
     # a short poll interval lets shutdown() return quickly at teardown
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},

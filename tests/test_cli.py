@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import inspect
 import itertools
 import json
@@ -20,7 +21,7 @@ from chunkalign.corpus import Document, Granularity, load_corpus
 from chunkalign.dac import align_documents_dac, mine_chunk_pairs
 from chunkalign.embed_store import (EmbeddingMatrix, fetch_vectors, normalize, read_matrix,
                                     write_matrix)
-from chunkalign.evaluation import NoiseConfig, derive_side_seeds
+from chunkalign.evaluation import NoiseConfig
 from chunkalign.miner import MarginParams, margin_scores, write_pairs_tsv
 from chunkalign.pooled import align_documents_pooled
 from chunkalign.pooling import PoolingMethod
@@ -788,6 +789,46 @@ class TestInputFaultsBeforeOutput:
         assert sorted(root.rglob("*")) == before
         assert (root / "runfile").read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("fault", ["missing_manifest", "out_dir"])
+    @pytest.mark.parametrize("option, value, problem", [
+        ("--noise-ratio", "-1", "noise ratio must be >= 0, got -1.0"),
+        ("--noise-seed", "-3", "noise seed must be >= 0, got -3"),
+    ], ids=["ratio", "seed"])
+    @pytest.mark.parametrize("command", ["dac", "sweep"])
+    def test_noise_rule_is_named_before_paths(self, aligned_setup, capsys, command, option,
+                                              value, problem, fault):
+        # a noise setting is an option value: its rule runs before any path is checked
+        root = aligned_setup["root"]
+        if fault == "missing_manifest":
+            aligned_setup["src_manifest"].unlink()
+            out_dir = root / "out"
+        else:
+            out_dir, _ = self.unusable_out_dir(root, "file")
+        assert run_cli(TestNonFiniteOptions.argv(aligned_setup, command, out_dir, option,
+                                                 value)) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {problem}\n"
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("fault", ["missing_units", "out_is_directory"])
+    @pytest.mark.parametrize("endpoint, problem", [
+        ("http://h:bad/e", "embedding endpoint 'http://h:bad/e' has an invalid port"),
+        (None, "no embedding endpoint: pass --endpoint or set $CHUNKALIGN_ENDPOINT"),
+    ], ids=["malformed", "none"])
+    def test_fetch_endpoint_is_named_before_paths(self, tmp_path, capsys, monkeypatch, endpoint,
+                                                  problem, fault):
+        monkeypatch.delenv("CHUNKALIGN_ENDPOINT", raising=False)
+        units, out = tmp_path / "units.tsv", tmp_path / "emb.demb"
+        if fault == "missing_units":
+            out.touch()
+        else:
+            units.write_text("d#0\thello\n", encoding="utf-8")
+            out.mkdir()
+        argv = ["fetch-embeddings", "--units", str(units), "--out", str(out)]
+        if endpoint is not None:
+            argv += ["--endpoint", endpoint]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"chunkalign: invalid input: {problem}\n"
+
     @pytest.mark.parametrize("command", ["dac", "sweep"])
     def test_unusable_out_dir_is_named_before_inputs_are_read(self, aligned_setup, capsys,
                                                               command):
@@ -1136,19 +1177,20 @@ class TestOutputsMatchReference:
     def test_align_pairs_with_noise_pools(self, signed_setup):
         # each side's noise documents come from a pool manifest of their own;
         # the reference mixes each side with inject_noise_reference at the
-        # side seed that derive_side_seeds splits from --noise-seed
+        # side seed that numpy's SeedSequence generates from --noise-seed
         paths, _, _, _ = signed_setup
         root = paths["root"]
         embeddings = [read_matrix_reference(paths[f"{side}_emb"]) for side in ("src", "tgt")]
         noisy, extra, mixed = dict(paths), [], []
-        for side, seed in zip(("src", "tgt"), derive_side_seeds(9)):
+        side_seeds = np.random.SeedSequence(9).generate_state(2, np.uint64)
+        for side, seed in zip(("src", "tgt"), side_seeds):
             docs = load_corpus_reference(paths[f"{side}_manifest"])
             alignable = [doc for doc in docs if "noise" not in doc.doc_id]
             pool = [doc for doc in docs if "noise" in doc.doc_id]
             noisy[f"{side}_manifest"] = write_corpus(root, alignable, f"{side}-clean")
             extra += [f"--noise-{side}-manifest", str(write_corpus(root, pool, f"{side}-pool"))]
             mixed.append(inject_noise_reference(alignable, pool,
-                                                NoiseConfig(ratio=0.375, seed=seed)))
+                                                NoiseConfig(ratio=0.375, seed=int(seed))))
             # 3 of the 4 pool documents, so the sample decides which
             assert len(mixed[-1]) == len(alignable) + 3
         out_dir = root / "noisy"
@@ -1476,6 +1518,37 @@ class TestStartup:
         probe = ("import sys; from chunkalign.cli import main; "
                  "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
         assert _probe(probe, *argv) == "0 False"
+
+
+class TestBenchmarkTracer:
+    """perfbench/tracer.py wraps library functions by name and counts from
+    their arguments by name: a rename in the library shows here as a missing
+    target or a counter's error, not only in a traced benchmark run."""
+
+    def test_every_target_is_found_and_every_counter_counts(self, aligned_setup):
+        tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)  # imported, it only defines
+        root = aligned_setup["root"]
+        env = {**os.environ, "PYTHONPATH": str(Path(chunkalign.__file__).resolve().parents[1])}
+        counted = set()
+        for run, argv in enumerate([
+            align_argv(aligned_setup, root / "dac", "-k", "4"),
+            align_argv(aligned_setup, root / "pooled", "--mode", "pooled", "--method", "lidf",
+                       "-k", "4"),
+            TestNonFiniteOptions.argv(aligned_setup, "sweep", root / "sweep", "-k", "4"),
+        ]):
+            spans = root / f"spans{run}.json"
+            subprocess.run([sys.executable, str(tracer_path), "--spans", str(spans),
+                            "--run-id", str(run), "--", *argv],
+                           env=env, capture_output=True, check=True)
+            trace = json.loads(spans.read_text(encoding="utf-8"))
+            assert (trace["exit_code"], trace["missing"]) == (0, [])
+            assert [span for span in trace["spans"] if "count_error" in span] == []
+            counted |= {span["name"] for span in trace["spans"] if "counts" in span}
+        # between them the three runs call every counter
+        assert {target[0] for target in tracer.TARGETS if target[3] is not None} <= counted
 
 
 class TestImportCommand:

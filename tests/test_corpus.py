@@ -261,6 +261,27 @@ class TestReadLines:
             assert list(read_lines(path, "text file")) == [(1, "one"), (2, "two")]
         assert sizes == [corpus._BLOCK]
 
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_first_line_comes_after_one_block(self, tmp_path, end):
+        # a file four blocks long: each kind of line end cuts the first block,
+        # so a file of CR-only lines is not held whole until its end
+        path = tmp_path / "f.txt"
+        path.write_bytes(("x" * 99 + end).encode("ascii") * (4 * corpus._BLOCK // 100))
+        sizes = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                sizes.append(len(data))
+                return data
+
+        with mock.patch.object(corpus, "open", create=True,
+                               side_effect=lambda file, mode, buffering: CountingFile(file, mode)):
+            lines = read_lines(path, "text file")
+            assert next(lines) == (1, "x" * 99)
+            assert sum(sizes) == corpus._BLOCK
+            assert (4 * corpus._BLOCK // 100, "x" * 99) in lines
+
 
 class TestDocument:
     def test_empty_sentences_rejected(self):

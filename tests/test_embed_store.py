@@ -38,6 +38,12 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError, match="3 ids for 2 rows"):
             EmbeddingMatrix(ids=["a", "b", "c"], data=np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1d", "3d"])
+    def test_data_must_be_2_dimensional(self, shape):
+        with pytest.raises(ValueError) as error:
+            EmbeddingMatrix(ids=[str(i) for i in range(shape[0])], data=np.ones(shape))
+        assert str(error.value) == f"embedding data must be 2-dimensional, got shape {shape}"
+
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             EmbeddingMatrix(ids=[], data=np.empty((0, 0)))
@@ -404,7 +410,7 @@ class TestFetch:
 
     def test_body_not_json_not_retried(self, quick_retries, embed_server):
         url, state = embed_server
-        state["bad_body"] = True
+        state["body"] = b"<html/>\n\n"
         with pytest.raises(ValueError, match="HTTP 200 with a body that is not JSON"):
             fetch_vectors(["a"], ["hello"], url)
         assert state["requests"] == 1
@@ -463,6 +469,12 @@ class TestFetch:
                                              "outside the float32 range"):
             fetch_vectors(["a#0", "h#1"], ["fine", "huge"], url)
         assert state["requests"] == 1
+
+    def test_ids_and_texts_must_pair_up(self, embed_server):
+        url, state = embed_server
+        with pytest.raises(ValueError, match="^2 ids for 1 texts$"):
+            fetch_vectors(["a#0", "b#0"], ["hello"], url)
+        assert state["requests"] == 0
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError, match="nothing to embed"):
@@ -604,13 +616,16 @@ class TestFetchSendAhead:
 
     @pytest.mark.parametrize("fault, problem", [
         ({"drop_one": True}, "returned 1 vectors for 2 texts"),
-        ({"bad_body": True}, "with a body that is not JSON"),
+        ({"body": b"<html/>\n\n"}, "with a body that is not JSON"),
+        ({"body": b'{"vectors": null}'}, "^embedding service response has no 'vectors' list$"),
+        ({"body": b"[[1.0], [2.0]]"}, "^embedding service response has no 'vectors' list$"),
         ({"raw_vectors": {"t1": [1.0] * 7}}, "vectors have differing dimensions"),
         ({"nan_text": "t0"}, "non-finite embedding for id 'u#0'"),
         ({"zero_text": "t1"}, "zero-norm embedding for id 'u#1'"),
         # wrapped before normalize: a width of 0 is not taken for zero rows
         ({"raw_vectors": {"t0": [], "t1": []}}, "embedding dimension must be >= 1"),
-    ], ids=["count", "not_json", "ragged", "nan", "zero", "zero_width"])
+    ], ids=["count", "not_json", "null_vectors", "top_level_list", "ragged", "nan", "zero",
+            "zero_width"])
     def test_first_bad_reply_stops_sending(self, keepalive_embed_server, fault, problem):
         url, state = keepalive_embed_server
         state.update(fault)
@@ -693,6 +708,15 @@ class TestFetchEnvironment:
         fetch_vectors(["a#0"], ["hello"], url.replace("http://", "http://uu:up@"))
         assert [headers["Authorization"] for _, _, headers in state["seen"]] == [
             _basic("nu", "np"), _basic("uu", "up")]
+
+    def test_netrc_without_entry_for_host_ignored(self, embed_server, tmp_path):
+        url, state = embed_server
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine other.invalid login nu password np\n")
+        netrc.chmod(0o600)
+        assert fetch_vectors(["a#0"], ["hello"], url).ids == ["a#0"]
+        [(_, _, headers)] = state["seen"]
+        assert headers["Authorization"] is None
 
     def test_undecodable_netrc_ignored(self, embed_server, tmp_path):
         url, state = embed_server

@@ -13,7 +13,6 @@ from chunkalign.evaluation import (
     EvalReport,
     GoldSet,
     NoiseConfig,
-    derive_side_seeds,
     inject_noise,
     load_gold,
     load_pairs,
@@ -262,20 +261,26 @@ class TestNoiseInjectionReference:
 
 
 class TestDeriveSideSeeds:
+    """NoiseConfig.per_side: one config per side, at independent seeds split from one."""
+
     def test_deterministic(self):
-        assert derive_side_seeds(42) == derive_side_seeds(42)
+        assert NoiseConfig(seed=42).per_side() == NoiseConfig(seed=42).per_side()
 
     def test_sides_differ(self):
-        seeds = derive_side_seeds(42)
-        assert len(seeds) == 2
-        assert seeds[0] != seeds[1]
+        src, tgt = NoiseConfig(ratio=0.25, seed=42).per_side()
+        assert src.ratio == tgt.ratio == 0.25
+        assert src.seed != tgt.seed
 
     def test_run_seeds_differ(self):
-        assert derive_side_seeds(1) != derive_side_seeds(2)
+        assert NoiseConfig(seed=1).per_side() != NoiseConfig(seed=2).per_side()
 
-    def test_negative_seed_named(self):
-        with pytest.raises(ValueError, match="^noise seed must be >= 0, got -1$"):
-            derive_side_seeds(-1)
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_seeds_are_the_seed_sequence_state(self, seed):
+        # a noisy run's outputs depend on exactly these seeds
+        state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        sides = NoiseConfig(seed=seed).per_side()
+        assert [side.seed for side in sides] == [int(value) for value in state]
+        assert all(type(side.seed) is int for side in sides)
 
 
 def random_scores(rng, n_src=12, n_tgt=12, density=0.5):
